@@ -21,10 +21,10 @@ print("counts:", mesh.counts)
 
 # Volume and the four constant hat-function gradients. They always sum
 # to zero: the hats are a partition of unity.
-geo = h.tet_geometry(mesh, 0)
-print("\nvolume:", geo.volume)
-print("hat gradients:\n", geo.bary_gradients)
-print("gradient sum:", geo.bary_gradients.sum(axis=0))
+grads = h.barycentric_gradients(mesh)[0]
+print("\nvolume:", mesh.volumes[0])
+print("hat gradients:\n", grads)
+print("gradient sum:", grads.sum(axis=0))
 
 # The element tables hold the only quantities assembly ever needs:
 # per-tet constant derivatives of the two basis families.

@@ -9,29 +9,25 @@ harmonic-space dimensions matching the domain's Betti numbers.
 """
 
 from ._version import __version__
-from .assembly import (SparseSymMatrix, assemble_gram, assemble_rhs,
-                       reconstruct, write_matrix_market)
-from .errors import (ConvergenceError, FieldError, Hodge3dError,
-                     InconsistentSystemError, MeshError, NonManifoldError,
-                     ParseError, TopologyError)
+from .assembly import SparseSymMatrix, assemble_gram, assemble_rhs, reconstruct
+from .errors import (ConvergenceError, FieldError, Hodge3dError, MeshError,
+                     NonManifoldError, ParseError, TopologyError)
 from .fem import DofMap, ElementTables, barycentric_gradients, build_element_tables
 from .fields import (ANALYTIC_FIELDS, Pcvf, add_noise, combine, l2_inner,
                      random_field, sample_analytic, sq_norm)
 from .hodge import (SCHEME_COMPONENTS, SCHEMES, ZERO_THRESHOLD,
                     DecompositionResult, HodgeDecomposer, VerificationReport,
-                    decompose, estimate_harmonic_dimension, project_curl,
-                    project_grad, verify_result)
+                    estimate_harmonic_dimension)
 from .io import make_report, read_field, read_mesh, write_outputs, write_vtk
-from .mesh import (DOMAIN_TOPOLOGY, BettiNumbers, MeshCounts, TetGeometry,
-                   TetMesh, betti_numbers, build_complex, generate_voxel_domain,
-                   tet_geometry)
+from .mesh import (DOMAIN_TOPOLOGY, BettiNumbers, MeshCounts, TetMesh,
+                   betti_numbers, build_complex, generate_voxel_domain)
 from .solver import SolveReport, solve_spsd
 
 __all__ = [
     "__version__",
     # mesh
-    "TetMesh", "TetGeometry", "MeshCounts", "BettiNumbers", "build_complex",
-    "tet_geometry", "betti_numbers", "generate_voxel_domain", "DOMAIN_TOPOLOGY",
+    "TetMesh", "MeshCounts", "BettiNumbers", "build_complex", "betti_numbers",
+    "generate_voxel_domain", "DOMAIN_TOPOLOGY",
     # fields
     "Pcvf", "l2_inner", "sq_norm", "sample_analytic", "add_noise", "combine",
     "random_field", "ANALYTIC_FIELDS",
@@ -39,16 +35,14 @@ __all__ = [
     "DofMap", "ElementTables", "build_element_tables", "barycentric_gradients",
     # assembly
     "SparseSymMatrix", "assemble_gram", "assemble_rhs", "reconstruct",
-    "write_matrix_market",
     # solver
     "SolveReport", "solve_spsd",
     # hodge
     "SCHEMES", "SCHEME_COMPONENTS", "ZERO_THRESHOLD", "DecompositionResult",
-    "HodgeDecomposer", "VerificationReport", "decompose", "project_curl",
-    "project_grad", "verify_result", "estimate_harmonic_dimension",
+    "HodgeDecomposer", "VerificationReport", "estimate_harmonic_dimension",
     # io
     "read_mesh", "read_field", "write_vtk", "write_outputs", "make_report",
     # errors
     "Hodge3dError", "MeshError", "NonManifoldError", "TopologyError",
-    "FieldError", "ParseError", "InconsistentSystemError", "ConvergenceError",
+    "FieldError", "ParseError", "ConvergenceError",
 ]

@@ -9,7 +9,6 @@ unconstrained variants.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import FieldError
@@ -17,8 +16,7 @@ from .fem import DofMap, ElementTables
 from .fields import Pcvf
 from .mesh import TetMesh
 
-__all__ = ["SparseSymMatrix", "assemble_gram", "assemble_rhs", "reconstruct",
-           "write_matrix_market"]
+__all__ = ["SparseSymMatrix", "assemble_gram", "assemble_rhs", "reconstruct"]
 
 # Tets per assembly chunk; fixed so the summation order (and thus every
 # bit of the result) never depends on the environment.
@@ -116,8 +114,3 @@ def reconstruct(mesh: TetMesh, tables: ElementTables, dofmap: DofMap,
     local = coefficients[dofmap.tet_to_dof]                  # (n_t, k)
     return Pcvf(mesh, np.einsum("tl,tld->td", local, table))
 
-
-def write_matrix_market(path, A: SparseSymMatrix, comment: str = ""):
-    """Export in symmetric coordinate Matrix Market text format."""
-    scipy.io.mmwrite(path, A.csr, comment=comment, field="real",
-                     symmetry="symmetric")

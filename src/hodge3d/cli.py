@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 from ._version import __version__
 from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
-from .hodge import SCHEME_COMPONENTS, HodgeDecomposer, estimate_harmonic_dimension
+from .hodge import (SCHEME_COMPONENTS, SCHEMES, HodgeDecomposer,
+                    _expected_dimension, estimate_harmonic_dimension)
 from .io import make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
@@ -123,12 +124,11 @@ def _decompose_core(cfg: RunConfig):
     X = _build_field(cfg, mesh)
     engine = HodgeDecomposer(mesh, tol=cfg.tol, max_iter=cfg.max_iter)
     result = engine.decompose(X, cfg.scheme)
-    report = make_report(result, extra=_extra_report_entries(cfg))
     paths = []
     if cfg.out_dir:
         paths = write_outputs(result, cfg.out_dir, cfg.formats,
                               extra=_extra_report_entries(cfg))
-    return result, report, paths
+    return result, paths
 
 
 def _print_result(result, file=None):
@@ -143,7 +143,7 @@ def _print_result(result, file=None):
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
-    result, _, paths = _decompose_core(cfg)
+    result, paths = _decompose_core(cfg)
     _print_result(result)
     for p in paths:
         print(f"wrote {p}")
@@ -213,19 +213,13 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_dims(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg)
-    betti = betti_numbers(mesh)
-    expected = {
-        "neumann": betti.h2,
-        "dirichlet": betti.h2_rel,
-        "central": mesh.counts.n_bf - betti.h2 - 1,
-    }
     ok = True
-    print(f"betti numbers: {tuple(betti)}")
+    print(f"betti numbers: {tuple(betti_numbers(mesh))}")
     for which in cfg.which:
         est = estimate_harmonic_dimension(mesh, which, probes=cfg.probes,
                                           seed=cfg.seed, tol=cfg.tol,
                                           max_iter=cfg.max_iter)
-        exp = expected[which]
+        exp = _expected_dimension(mesh, which)
         print(f"{which}: {est} (expected {exp})")
         ok &= est == exp
     return 0 if ok else 1
@@ -241,7 +235,7 @@ def _sweep_level(args):
         level_cfg = replace(level_cfg, h=float(value))
     else:
         level_cfg = replace(level_cfg, rho=float(value))
-    result, report, _ = _decompose_core(level_cfg)
+    result, _ = _decompose_core(level_cfg)
     row = {"kind": kind, "level": value,
            "n_t": result.input.mesh.n_t,
            "input_sq_norm": result.input_sq_norm}
@@ -249,7 +243,7 @@ def _sweep_level(args):
     for name in result.components:
         row[f"{name}_sq_norm"] = result.sq_norms[name]
         row[f"{name}_fraction"] = fractions[name]
-    return label, row, report
+    return label, row
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -264,7 +258,12 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     else:
         raise _UsageError("sweep needs --h or --rho with at least one level")
 
-    workers = int(os.environ.get("HODGE3D_THREADS", "1") or "1")
+    threads = os.environ.get("HODGE3D_THREADS", "1") or "1"
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise _UsageError("HODGE3D_THREADS must be an integer, "
+                          f"got '{threads}'") from None
     workers = max(1, min(workers, len(levels)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -276,7 +275,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     fieldnames = ["kind", "level", "n_t", "input_sq_norm"]
     for name in comp_names:
         fieldnames += [f"{name}_sq_norm", f"{name}_fraction"]
-    for label, row, _ in outcomes:
+    for label, row in outcomes:
         print(f"{label}: " + " ".join(
             f"{name}={row[f'{name}_fraction']:.4f}" for name in comp_names))
     if cfg.out_dir:
@@ -285,7 +284,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         with open(path, "w", newline="\n") as f:
             writer = csv.DictWriter(f, fieldnames=fieldnames)
             writer.writeheader()
-            for _, row, _ in outcomes:
+            for _, row in outcomes:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
         print(f"wrote {path}")
@@ -353,6 +352,11 @@ def _add_field_args(p):
     p.add_argument("--seed", type=int, default=0, help="noise/probe seed")
 
 
+def _add_scheme_arg(p, default):
+    p.add_argument("--scheme", default=default,
+                   choices=[s.lower() for s in SCHEMES])
+
+
 def _add_solver_args(p):
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative solver tolerance (default 1e-12)")
@@ -370,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose one field")
     _add_mesh_args(p)
     _add_field_args(p)
-    p.add_argument("--scheme", default="full",
-                   choices=["fn", "fd", "hmf_n", "hmf_d", "full"])
+    _add_scheme_arg(p, default="full")
     p.add_argument("--out", help="output directory for VTK + report")
     p.add_argument("--formats", default="vtk,json",
                    help="comma list from vtk,json (default both)")
@@ -395,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="repeat decompose over h or rho levels")
     _add_mesh_args(p, h_list=True)
     _add_field_args(p)
-    p.add_argument("--scheme", default="fd",
-                   choices=["fn", "fd", "hmf_n", "hmf_d", "full"])
+    _add_scheme_arg(p, default="fd")
     p.add_argument("--rho-levels", type=_float_list, default=())
     p.add_argument("--out", help="output directory (per-level dirs + CSV)")
     _add_solver_args(p)

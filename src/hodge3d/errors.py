@@ -31,10 +31,6 @@ class ParseError(Hodge3dError, ValueError):
         self.line = line
 
 
-class InconsistentSystemError(Hodge3dError, ValueError):
-    """Right-hand side has a component in the kernel of the system matrix."""
-
-
 class ConvergenceError(Hodge3dError, RuntimeError):
     """An iterative solve did not reach the requested tolerance."""
 

@@ -23,15 +23,12 @@ class DofMap:
     interior_mask : True where the carrying simplex is interior; the
         boundary-constrained subspace keeps exactly the interior dofs.
     tet_to_dof : (n_t, k) global dof index per tet-local edge/face
-    signs : (n_t, k) orientation of the local simplex relative to the
-        global one (+1 for faces; +1/-1 for edges)
     """
 
     kind: str
     n_dofs: int
     interior_mask: np.ndarray
     tet_to_dof: np.ndarray
-    signs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,11 @@ def build_element_tables(mesh: TetMesh):
     dof_edge = DofMap(kind="edge_based",
                       n_dofs=mesh.n_e,
                       interior_mask=~mesh.boundary_edge,
-                      tet_to_dof=mesh.tet_edges,
-                      signs=mesh.tet_edge_signs.astype(np.int64))
+                      tet_to_dof=mesh.tet_edges)
     dof_face = DofMap(kind="face_based",
                       n_dofs=mesh.n_f,
                       interior_mask=~mesh.boundary_face,
-                      tet_to_dof=mesh.tet_faces,
-                      signs=np.ones_like(mesh.tet_faces))
+                      tet_to_dof=mesh.tet_faces)
     for arr in (cr_gradients, ned_curls):
         arr.setflags(write=False)
     return ElementTables(cr_gradients=cr_gradients, ned_curls=ned_curls), \

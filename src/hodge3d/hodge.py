@@ -32,10 +32,6 @@ __all__ = [
     "CheckResult",
     "VerificationReport",
     "HodgeDecomposer",
-    "project_curl",
-    "project_grad",
-    "decompose",
-    "verify_result",
     "estimate_harmonic_dimension",
 ]
 
@@ -43,32 +39,56 @@ __all__ = [
 # for classification only, never inside the arithmetic.
 ZERO_THRESHOLD = 1e-10
 
-SCHEMES = ("FN", "FD", "HMF_N", "HMF_D", "FULL")
 
-SCHEME_COMPONENTS = {
-    "FN": ("curl", "grounded_gradient", "harmonic_neumann"),
-    "FD": ("fluxless_knot", "gradient", "harmonic_dirichlet"),
-    "HMF_N": ("fluxless_knot", "grounded_gradient", "harmonic_curl",
-              "harmonic_neumann"),
-    "HMF_D": ("fluxless_knot", "grounded_gradient", "harmonic_gradient",
-              "harmonic_dirichlet"),
-    "FULL": ("fluxless_knot", "grounded_gradient", "curly_gradient",
-             "harmonic_neumann", "harmonic_dirichlet"),
+# The steps of each scheme, in projection order. A step (source, space,
+# constrained, projection, remainder) projects the field named `source`
+# onto the curl or grad space, with or without the boundary constraint,
+# and names the projection and the remainder. FN and FD are the two
+# chains: the Neumann type projects onto the unconstrained curl space
+# first, the Dirichlet type onto the constrained one. HMF_N refines FN's
+# curl part, HMF_D refines FD's gradient part, and FULL further splits
+# HMF_D's harmonic gradient.
+_FN = (("input", "curl", False, "curl", "curl_free"),
+       ("curl_free", "grad", True, "grounded_gradient", "harmonic_neumann"))
+_FD = (("input", "curl", True, "fluxless_knot", "knot_free"),
+       ("knot_free", "grad", False, "gradient", "harmonic_dirichlet"))
+_HMF_D = _FD + (
+    ("gradient", "grad", True, "grounded_gradient", "harmonic_gradient"),)
+_STEPS = {
+    "FN": _FN,
+    "FD": _FD,
+    "HMF_N": _FN + (("curl", "curl", True, "fluxless_knot", "harmonic_curl"),),
+    "HMF_D": _HMF_D,
+    "FULL": _HMF_D + (("harmonic_gradient", "curl", False, "curly_gradient",
+                       "harmonic_neumann"),),
 }
 
-# Projections (space, constrained) under which a component must vanish;
-# these are the orthogonality relations that define each component.
-_MEMBERSHIP_ZERO = {
-    "FN": {"harmonic_neumann": (("curl", False), ("grad", True))},
-    "FD": {"harmonic_dirichlet": (("curl", True), ("grad", False))},
-    "HMF_N": {"harmonic_curl": (("curl", True), ("grad", True)),
-              "harmonic_neumann": (("curl", False), ("grad", True))},
-    "HMF_D": {"harmonic_gradient": (("curl", True), ("grad", True)),
-              "harmonic_dirichlet": (("curl", True), ("grad", False))},
-    "FULL": {"curly_gradient": (("curl", True), ("grad", True)),
-             "harmonic_neumann": (("curl", False), ("grad", True)),
-             "harmonic_dirichlet": (("curl", True), ("grad", False))},
+# Every component in report order, with the projections (space,
+# constrained) under which it must vanish: the orthogonality relations
+# that define it, whatever the scheme.
+_RELATIONS = {
+    "curl": (),
+    "fluxless_knot": (),
+    "gradient": (),
+    "grounded_gradient": (),
+    "curly_gradient": (("curl", True), ("grad", True)),
+    "harmonic_curl": (("curl", True), ("grad", True)),
+    "harmonic_gradient": (("curl", True), ("grad", True)),
+    "harmonic_neumann": (("curl", False), ("grad", True)),
+    "harmonic_dirichlet": (("curl", True), ("grad", False)),
 }
+
+
+def _components(steps) -> tuple:
+    """The fields a pipeline ends with: named by a step, used by none."""
+    named = {n for step in steps for n in step[3:]}
+    used = {step[0] for step in steps}
+    return tuple(n for n in _RELATIONS if n in named - used)
+
+
+SCHEMES = tuple(_STEPS)
+SCHEME_COMPONENTS = {scheme: _components(steps)
+                     for scheme, steps in _STEPS.items()}
 
 
 @dataclass
@@ -180,60 +200,22 @@ class HodgeDecomposer:
     def decompose(self, X: Pcvf, scheme: str) -> DecompositionResult:
         """Run the residual pipeline of `scheme` on X.
 
-        The projection order is fixed: the Dirichlet-type schemes project
-        onto the constrained curl space first, then the gradient space;
-        the Neumann-type schemes project onto the unconstrained curl
-        space first, then the constrained gradient space. Refinement
-        steps split the curl part (HMF_N), the gradient part (HMF_D), and
-        finally the harmonic gradient (FULL).
+        Each step projects a named field onto a curl or gradient space
+        and subtracts; the projection and the remainder are kept under
+        the step's names, and the fields no later step uses are the
+        components.
         """
         scheme = _normalize_scheme(scheme)
         reports = []
-
-        def proj(Y, space, constrained):
-            fld, rep, stage = self._project(Y, space, constrained)
+        parts = {"input": X}
+        for source, space, constrained, projection, remainder in _STEPS[scheme]:
+            Y = parts[source]
+            P, rep, stage = self._project(Y, space, constrained)
             reports.append((stage, rep))
-            return fld
+            parts[projection] = P
+            parts[remainder] = combine(Y, P, 1.0, -1.0)
 
-        if scheme == "FN":
-            c = proj(X, "curl", False)
-            r1 = combine(X, c, 1.0, -1.0)
-            g0 = proj(r1, "grad", True)
-            hn = combine(r1, g0, 1.0, -1.0)
-            comps = {"curl": c, "grounded_gradient": g0, "harmonic_neumann": hn}
-        elif scheme == "FD":
-            c0 = proj(X, "curl", True)
-            r1 = combine(X, c0, 1.0, -1.0)
-            g = proj(r1, "grad", False)
-            hd = combine(r1, g, 1.0, -1.0)
-            comps = {"fluxless_knot": c0, "gradient": g, "harmonic_dirichlet": hd}
-        elif scheme == "HMF_N":
-            c = proj(X, "curl", False)
-            r1 = combine(X, c, 1.0, -1.0)
-            g0 = proj(r1, "grad", True)
-            hn = combine(r1, g0, 1.0, -1.0)
-            c0 = proj(c, "curl", True)
-            hc = combine(c, c0, 1.0, -1.0)
-            comps = {"fluxless_knot": c0, "grounded_gradient": g0,
-                     "harmonic_curl": hc, "harmonic_neumann": hn}
-        else:  # HMF_D and FULL share the Dirichlet-side chain
-            c0 = proj(X, "curl", True)
-            r1 = combine(X, c0, 1.0, -1.0)
-            g = proj(r1, "grad", False)
-            hd = combine(r1, g, 1.0, -1.0)
-            g0 = proj(g, "grad", True)
-            hg = combine(g, g0, 1.0, -1.0)
-            if scheme == "HMF_D":
-                comps = {"fluxless_knot": c0, "grounded_gradient": g0,
-                         "harmonic_gradient": hg, "harmonic_dirichlet": hd}
-            else:
-                central = proj(hg, "curl", False)
-                hn = combine(hg, central, 1.0, -1.0)
-                comps = {"fluxless_knot": c0, "grounded_gradient": g0,
-                         "curly_gradient": central, "harmonic_neumann": hn,
-                         "harmonic_dirichlet": hd}
-
-        comps = {name: comps[name] for name in SCHEME_COMPONENTS[scheme]}
+        comps = {name: parts[name] for name in SCHEME_COMPONENTS[scheme]}
         norms = {name: sq_norm(f) for name, f in comps.items()}
         return DecompositionResult(
             scheme=scheme,
@@ -285,37 +267,11 @@ class HodgeDecomposer:
         add("orthogonality", worst, 1e-8)
 
         mem_bound = ZERO_THRESHOLD * max(1.0, in_sq)
-        for name, targets in _MEMBERSHIP_ZERO[result.scheme].items():
-            for space, constrained in targets:
+        for name in comps:
+            for space, constrained in _RELATIONS[name]:
                 fld, _, stage = self._project(comps[name], space, constrained)
                 add(f"{name}_vs_{stage}", sq_norm(fld), mem_bound)
         return VerificationReport(checks=checks)
-
-
-def project_curl(X: Pcvf, constrained: bool = True, tol: float = 1e-12,
-                 max_iter: int | None = None) -> Pcvf:
-    """One-shot projection onto the (constrained) curl space."""
-    return HodgeDecomposer(X.mesh, tol, max_iter).project_curl(X, constrained)
-
-
-def project_grad(X: Pcvf, constrained: bool = True, tol: float = 1e-12,
-                 max_iter: int | None = None) -> Pcvf:
-    """One-shot projection onto the (constrained) gradient space."""
-    return HodgeDecomposer(X.mesh, tol, max_iter).project_grad(X, constrained)
-
-
-def decompose(X: Pcvf, scheme: str, tol: float = 1e-12,
-              max_iter: int | None = None) -> DecompositionResult:
-    """One-shot decomposition; builds a fresh engine for X's mesh."""
-    return HodgeDecomposer(X.mesh, tol, max_iter).decompose(X, scheme)
-
-
-def verify_result(result: DecompositionResult,
-                  decomposer: HodgeDecomposer | None = None) -> VerificationReport:
-    """Verify a result, reusing `decomposer` when given."""
-    if decomposer is None:
-        decomposer = HodgeDecomposer(result.input.mesh)
-    return decomposer.verify(result)
 
 
 _DIMENSION_SOURCES = {
@@ -323,6 +279,13 @@ _DIMENSION_SOURCES = {
     "dirichlet": ("FD", "harmonic_dirichlet"),
     "central": ("FULL", "curly_gradient"),
 }
+
+
+def _expected_dimension(mesh: TetMesh, which: str) -> int:
+    """The dimension the topology of `mesh` predicts for a subspace."""
+    b = betti_numbers(mesh)
+    return {"neumann": b.h2, "dirichlet": b.h2_rel,
+            "central": mesh.counts.n_bf - b.h2 - 1}[which]
 
 
 def estimate_harmonic_dimension(mesh: TetMesh, which: str,
@@ -344,13 +307,7 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
     except KeyError:
         raise ValueError(f"unknown subspace '{which}' "
                          f"(choose from {sorted(_DIMENSION_SOURCES)})") from None
-    b = betti_numbers(mesh)
-    if which == "neumann":
-        expected = b.h2
-    elif which == "dirichlet":
-        expected = b.h2_rel
-    else:
-        expected = mesh.counts.n_bf - b.h2 - 1
+    expected = _expected_dimension(mesh, which)
     min_probes = expected + 5
     if probes is None:
         probes = min_probes

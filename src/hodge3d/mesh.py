@@ -15,11 +15,9 @@ from .errors import MeshError, NonManifoldError, TopologyError
 
 __all__ = [
     "TetMesh",
-    "TetGeometry",
     "MeshCounts",
     "BettiNumbers",
     "build_complex",
-    "tet_geometry",
     "betti_numbers",
     "generate_voxel_domain",
     "DOMAIN_TOPOLOGY",
@@ -60,13 +58,6 @@ class BettiNumbers(NamedTuple):
     def h2_rel(self) -> int:
         """Dimension of the relative second cohomology (handles/tunnels)."""
         return self.b1
-
-
-class TetGeometry(NamedTuple):
-    """Geometry of a single tetrahedron."""
-
-    volume: float
-    bary_gradients: np.ndarray  # (4, 3) constant gradients of the 4 hat functions
 
 
 class TetMesh:
@@ -236,24 +227,6 @@ def build_complex(vertices, tets) -> TetMesh:
 
     return TetMesh(vertices, tets, edges, faces, tet_edges, tet_edge_signs,
                    tet_faces, boundary_vertex, boundary_edge, boundary_face, volumes)
-
-
-def tet_geometry(mesh: TetMesh, t: int) -> TetGeometry:
-    """Volume and hat-function gradients of tet `t`.
-
-    The gradients are the constant vectors grad(phi_k) of the linear
-    functions with phi_k(v_j) = delta_kj on the tet; they always sum to
-    the zero vector.
-    """
-    if not 0 <= t < mesh.n_t:
-        raise MeshError(f"tet index {t} out of range")
-    v = mesh.vertices[mesh.tets[t]]
-    edge_mat = v[1:] - v[0]
-    det = float(np.linalg.det(edge_mat))
-    grads = np.empty((4, 3))
-    grads[1:] = np.linalg.inv(edge_mat).T
-    grads[0] = -grads[1:].sum(axis=0)
-    return TetGeometry(volume=abs(det) / 6.0, bary_gradients=grads)
 
 
 def _solid_components(mesh: TetMesh) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SparseSymMatrix
-from .errors import InconsistentSystemError
 
 __all__ = ["SolveReport", "solve_spsd"]
 
@@ -26,7 +25,7 @@ class SolveReport:
 
 
 def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
-               max_iter: int | None = None, kernel=None, atol: float = 0.0):
+               max_iter: int | None = None, atol: float = 0.0):
     """Solve A x = b by Jacobi-preconditioned conjugate gradients.
 
     Parameters
@@ -35,9 +34,6 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
     b : right-hand side, must be consistent (orthogonal to ker A)
     tol : relative residual target |A x - b| / |b|
     max_iter : defaults to 10 * n
-    kernel : optional iterable of kernel vectors; if given, b is rejected
-        up front when it has a relative component above 1e-8 along any of
-        them.
     atol : absolute residual floor. A right-hand side with |b| <= atol is
         treated as zero: for a singular consistent system, an rhs at
         rounding-noise level has nothing left to solve for, and iterating
@@ -62,18 +58,6 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
     if b_norm <= atol:
         return np.zeros(n), SolveReport(iterations=0, relative_residual=0.0,
                                         converged=True)
-
-    if kernel is not None:
-        for i, k in enumerate(kernel):
-            k = np.asarray(k, dtype=np.float64)
-            k_norm = float(np.linalg.norm(k))
-            if k_norm == 0.0:
-                continue
-            overlap = abs(float(b @ k)) / (b_norm * k_norm)
-            if overlap > 1e-8:
-                raise InconsistentSystemError(
-                    f"rhs has relative component {overlap:.3e} along kernel "
-                    f"vector {i}; the system is inconsistent")
 
     diag = A.diagonal()
     if (diag <= 0).any():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.io
 
 import hodge3d as h
 
@@ -141,14 +140,3 @@ def test_gram_matches_direct_integration(two_tet, ref_tet):
             D = gram_direct(mesh, which)
             scale = np.abs(D).max()
             np.testing.assert_allclose(A, D, atol=1e-13 * scale)
-
-
-def test_matrix_market_roundtrip(two_tet, tmp_path):
-    tables, dof_edge, _ = h.build_element_tables(two_tet)
-    A = h.assemble_gram(two_tet, tables, dof_edge)
-    path = tmp_path / "gram.mtx"
-    h.write_matrix_market(path, A)
-    text = path.read_text()
-    assert "symmetric" in text.splitlines()[0]
-    B = scipy.io.mmread(path).tocsr()
-    np.testing.assert_allclose(B.toarray(), A.toarray(), rtol=1e-15)

@@ -137,6 +137,14 @@ def test_sweep_worker_count_invariance(tmp_path):
         (out2 / "h_0.3" / "report.json").read_bytes()
 
 
+def test_sweep_bad_thread_count(monkeypatch, capsys):
+    monkeypatch.setenv("HODGE3D_THREADS", "abc")
+    assert main(["sweep", "--domain", "ball", "--h", "0.5,0.4",
+                 "--field", "X0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "HODGE3D_THREADS" in err
+
+
 def test_sweep_file_field_transfer(tmp_path, ball_tiny):
     # a per-tet field written on one mesh drives a resolution sweep via
     # nearest-barycenter transfer

@@ -111,8 +111,7 @@ def test_dof_maps(two_tet):
     assert dof_face.n_dofs == two_tet.n_f
     assert int((~dof_edge.interior_mask).sum()) == two_tet.counts.n_be
     assert int((~dof_face.interior_mask).sum()) == two_tet.counts.n_bf
-    assert (dof_face.signs == 1).all()
-    assert set(np.unique(dof_edge.signs)) <= {-1, 1}
+    assert set(np.unique(two_tet.tet_edge_signs)) <= {-1, 1}
 
 
 def test_tables_match_independent_gradients(torus_coarse):

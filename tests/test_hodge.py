@@ -214,6 +214,44 @@ def test_verify_membership_checks_present(torus_engine):
     assert by_name["harmonic_dirichlet_vs_grad_unconstrained"].value <= 1e-10
 
 
+# Check names per scheme, in order: reconstruction, Pythagoras, pairwise
+# orthogonality, then each relation-carrying component re-projected onto
+# the spaces it must be orthogonal to.
+_VERIFY_CHECKS = {
+    "FN": ("reconstruction", "pythagoras", "orthogonality",
+           "harmonic_neumann_vs_curl_unconstrained",
+           "harmonic_neumann_vs_grad_constrained"),
+    "FD": ("reconstruction", "pythagoras", "orthogonality",
+           "harmonic_dirichlet_vs_curl_constrained",
+           "harmonic_dirichlet_vs_grad_unconstrained"),
+    "HMF_N": ("reconstruction", "pythagoras", "orthogonality",
+              "harmonic_curl_vs_curl_constrained",
+              "harmonic_curl_vs_grad_constrained",
+              "harmonic_neumann_vs_curl_unconstrained",
+              "harmonic_neumann_vs_grad_constrained"),
+    "HMF_D": ("reconstruction", "pythagoras", "orthogonality",
+              "harmonic_gradient_vs_curl_constrained",
+              "harmonic_gradient_vs_grad_constrained",
+              "harmonic_dirichlet_vs_curl_constrained",
+              "harmonic_dirichlet_vs_grad_unconstrained"),
+    "FULL": ("reconstruction", "pythagoras", "orthogonality",
+             "curly_gradient_vs_curl_constrained",
+             "curly_gradient_vs_grad_constrained",
+             "harmonic_neumann_vs_curl_unconstrained",
+             "harmonic_neumann_vs_grad_constrained",
+             "harmonic_dirichlet_vs_curl_constrained",
+             "harmonic_dirichlet_vs_grad_unconstrained"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_VERIFY_CHECKS))
+def test_verify_check_names_per_scheme(torus_engine, scheme):
+    X = h.random_field(torus_engine.mesh, seed=1, normalize=True)
+    rep = torus_engine.verify(torus_engine.decompose(X, scheme))
+    assert tuple(c.name for c in rep.checks) == _VERIFY_CHECKS[scheme]
+    assert rep.passed
+
+
 def test_estimate_dimensions_coarse(ball_tiny, torus_coarse, cavity_coarse):
     assert h.estimate_harmonic_dimension(ball_tiny, "neumann") == 0
     assert h.estimate_harmonic_dimension(ball_tiny, "dirichlet") == 0
@@ -231,11 +269,12 @@ def test_estimate_dimension_probe_validation(ball_tiny):
 
 
 def test_one_shot_module_functions(ball_tiny):
+    # a fresh engine per call, as a one-off caller would use it
     X = h.sample_analytic(ball_tiny, "X2")
-    r = h.decompose(X, "full")
+    r = h.HodgeDecomposer(ball_tiny).decompose(X, "full")
     assert r.scheme == "FULL"
     assert r.fractions()["curly_gradient"] >= 0.99
-    rep = h.verify_result(r)
+    rep = h.HodgeDecomposer(ball_tiny).verify(r)
     assert rep.passed
-    P = h.project_grad(X, constrained=False)
+    P = h.HodgeDecomposer(ball_tiny).project_grad(X, constrained=False)
     assert h.sq_norm(P) == pytest.approx(h.sq_norm(X), rel=1e-10)

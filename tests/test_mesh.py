@@ -61,25 +61,23 @@ def test_empty_tets_rejected():
 
 def test_negative_orientation_fixed():
     mesh = h.build_complex(REF_VERTS, [(0, 1, 3, 2)])  # negative volume order
-    assert h.tet_geometry(mesh, 0).volume > 0
+    assert mesh.volumes[0] > 0
     assert sorted(mesh.tets[0]) == [0, 1, 2, 3]
 
 
-def test_tet_geometry_reference(ref_tet):
-    g = h.tet_geometry(ref_tet, 0)
-    assert g.volume == pytest.approx(1.0 / 6.0, rel=1e-15)
-    np.testing.assert_allclose(g.bary_gradients[0], [-1.0, -1.0, -1.0],
-                               atol=1e-14)
-    np.testing.assert_allclose(g.bary_gradients[1], [1.0, 0.0, 0.0], atol=1e-14)
+def test_barycentric_gradients_reference(ref_tet):
+    grads = h.barycentric_gradients(ref_tet)[0]
+    assert ref_tet.volumes[0] == pytest.approx(1.0 / 6.0, rel=1e-15)
+    np.testing.assert_allclose(grads[0], [-1.0, -1.0, -1.0], atol=1e-14)
+    np.testing.assert_allclose(grads[1], [1.0, 0.0, 0.0], atol=1e-14)
 
 
-def test_tet_geometry_scaling(ref_tet):
+def test_barycentric_gradients_scaling(ref_tet):
     scaled = h.build_complex(2.0 * np.asarray(REF_VERTS), [(0, 1, 2, 3)])
-    g1 = h.tet_geometry(ref_tet, 0)
-    g2 = h.tet_geometry(scaled, 0)
-    assert g2.volume == pytest.approx(8.0 / 6.0, rel=1e-15)
-    np.testing.assert_allclose(g2.bary_gradients, g1.bary_gradients / 2.0,
-                               atol=1e-14)
+    g1 = h.barycentric_gradients(ref_tet)[0]
+    g2 = h.barycentric_gradients(scaled)[0]
+    assert scaled.volumes[0] == pytest.approx(8.0 / 6.0, rel=1e-15)
+    np.testing.assert_allclose(g2, g1 / 2.0, atol=1e-14)
 
 
 def test_partition_of_unity_random_tets():
@@ -89,7 +87,7 @@ def test_partition_of_unity_random_tets():
         if abs(np.linalg.det(v[1:] - v[0])) < 1e-3:
             continue
         mesh = h.build_complex(v, [(0, 1, 2, 3)])
-        g = h.tet_geometry(mesh, 0).bary_gradients
+        g = h.barycentric_gradients(mesh)[0]
         scale = np.abs(g).max()
         assert np.abs(g.sum(axis=0)).max() <= 1e-14 * scale
 
