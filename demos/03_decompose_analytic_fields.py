@@ -41,7 +41,10 @@ for fname, domain, hh, params in cases:
     print(f"{fname:<6} {domain:<17} {result.input_sq_norm:8.4g} {row}")
 
 # Structural verification of the last result: reconstruction,
-# norm conservation, orthogonality, and the membership residuals.
+# norm conservation, orthogonality, and the membership residuals. A
+# membership value is the squared norm of the component re-projected onto
+# a space it must be orthogonal to; when the component's own squared norm
+# is already within the bound, the value is that norm and no solve runs.
 report = engine.verify(result)
 print("\nverification of the X4 decomposition:")
 for check in report.checks:

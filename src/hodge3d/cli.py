@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, replace
 from ._version import __version__
 from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
-from .hodge import (SCHEME_COMPONENTS, SCHEMES, HodgeDecomposer,
-                    _expected_dimension, estimate_harmonic_dimension)
+from .hodge import (_DIMENSION_SOURCES, SCHEME_COMPONENTS, SCHEMES,
+                    HodgeDecomposer, _expected_dimension,
+                    estimate_harmonic_dimension)
 from .io import make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
@@ -432,6 +433,10 @@ def _config_from_args(ns) -> RunConfig:
         cfg.probes = ns.probes
         cfg.seed = ns.seed
         cfg.which = tuple(v for v in ns.which.split(",") if v)
+        for which in cfg.which:
+            if which not in _DIMENSION_SOURCES:
+                raise _UsageError(f"unknown subspace '{which}' (choose from "
+                                  f"{', '.join(sorted(_DIMENSION_SOURCES))})")
     if ns.subcommand == "validate":
         cfg.h_ball = ns.h_ball
         cfg.h_cavity = ns.h_cavity

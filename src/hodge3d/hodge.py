@@ -129,6 +129,10 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _stage(space: str, constrained: bool) -> str:
+    return f"{space}_{'constrained' if constrained else 'unconstrained'}"
+
+
 def _normalize_scheme(scheme: str) -> str:
     s = scheme.upper()
     if s not in SCHEMES:
@@ -174,7 +178,7 @@ class HodgeDecomposer:
     def _project(self, X: Pcvf, space: str, constrained: bool):
         if X.mesh is not self.mesh:
             raise FieldError("field does not live on this decomposer's mesh")
-        stage = f"{space}_{'constrained' if constrained else 'unconstrained'}"
+        stage = _stage(space, constrained)
         dofmap = self._dofmap(space)
         b = assemble_rhs(X, self.tables, dofmap, constrained)
         gram, peak_diag = self._gram(space, constrained)
@@ -231,9 +235,13 @@ class HodgeDecomposer:
         """Check the structural guarantees of a decomposition result.
 
         Evaluates the telescoping reconstruction, the Pythagoras identity,
-        pairwise orthogonality, and the membership residuals (harmonic
-        components re-projected onto the spaces they must be orthogonal
-        to). Reporting only; nothing is raised.
+        pairwise orthogonality, and the membership residuals. A membership
+        check's value is the squared norm of a harmonic component
+        re-projected onto a space it must be orthogonal to. When the
+        component's own squared norm is already within the bound, the
+        value is that norm instead and no solve runs: by Bessel's
+        inequality no projection of a field is longer than the field.
+        Reporting only; nothing is raised.
         """
         checks = []
         comps = result.components
@@ -267,10 +275,15 @@ class HodgeDecomposer:
         add("orthogonality", worst, 1e-8)
 
         mem_bound = ZERO_THRESHOLD * max(1.0, in_sq)
-        for name in comps:
+        for name, comp in comps.items():
+            # from the field itself: a caller may have edited result.sq_norms
+            comp_sq = sq_norm(comp)
             for space, constrained in _RELATIONS[name]:
-                fld, _, stage = self._project(comps[name], space, constrained)
-                add(f"{name}_vs_{stage}", sq_norm(fld), mem_bound)
+                if comp_sq <= mem_bound:
+                    value = comp_sq
+                else:
+                    value = sq_norm(self._project(comp, space, constrained)[0])
+                add(f"{name}_vs_{_stage(space, constrained)}", value, mem_bound)
         return VerificationReport(checks=checks)
 
 

@@ -54,3 +54,8 @@ def torus_engine(torus_coarse):
 @pytest.fixture(scope="session")
 def ball_engine(ball_coarse):
     return h.HodgeDecomposer(ball_coarse)
+
+
+@pytest.fixture(scope="session")
+def cavity_engine(cavity_coarse):
+    return h.HodgeDecomposer(cavity_coarse)

@@ -92,6 +92,16 @@ def test_dims_central_tiny_ball(capsys):
     assert "central: 143 (expected 143)" in out
 
 
+def test_dims_unknown_subspace(capsys):
+    assert main(["dims", "--domain", "ball", "--h", "0.4",
+                 "--which", "neumann,foo"]) == 1
+    captured = capsys.readouterr()
+    # rejected before any mesh is built, so no Betti numbers are printed
+    assert captured.out == ""
+    assert captured.err == ("error: unknown subspace 'foo' "
+                            "(choose from central, dirichlet, neumann)\n")
+
+
 def test_sweep_resolution_levels(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", "--domain", "cylinder", "--h", "0.4,0.3",

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hodge3d as h
+from hodge3d import hodge as hodge_module
 from hodge3d.errors import FieldError
 
 
@@ -250,6 +253,84 @@ def test_verify_check_names_per_scheme(torus_engine, scheme):
     rep = torus_engine.verify(torus_engine.decompose(X, scheme))
     assert tuple(c.name for c in rep.checks) == _VERIFY_CHECKS[scheme]
     assert rep.passed
+
+
+def _membership_checks(rep):
+    """(component, space, constrained, check) per membership check."""
+    for c in rep.checks:
+        if "_vs_" in c.name:
+            name, stage = c.name.split("_vs_")
+            space, kind = stage.split("_", 1)
+            yield name, space, kind == "constrained", c
+
+
+@pytest.mark.parametrize("domain,analytic", [("ball", "X2"),
+                                             ("cavity", "X3"),
+                                             ("torus", "X4")])
+def test_membership_bound_matches_reprojection(request, domain, analytic):
+    # A check answered by the component's own squared norm (Bessel's
+    # inequality) must bound the re-projection it replaces and give the
+    # same verdict; every other check is the re-projection itself.
+    engine = request.getfixturevalue(f"{domain}_engine")
+    fields = (h.random_field(engine.mesh, seed=[5, 1], normalize=True),
+              h.sample_analytic(engine.mesh, analytic))
+    answered = 0
+    for X in fields:
+        for scheme in h.SCHEMES:
+            r = engine.decompose(X, scheme)
+            rep = engine.verify(r)
+            for name, space, constrained, check in _membership_checks(rep):
+                comp = r.components[name]
+                proj = (engine.project_curl if space == "curl"
+                        else engine.project_grad)
+                reprojected = h.sq_norm(proj(comp, constrained))
+                if h.sq_norm(comp) <= check.bound:
+                    answered += 1
+                    assert check.value == h.sq_norm(comp)
+                    # exact in exact arithmetic; the solve's rounding can
+                    # push a re-projection of the whole field a few ulps
+                    # above the field's own norm
+                    assert reprojected <= check.value * (1.0 + 1e-12)
+                    assert check.passed == (reprojected <= check.bound)
+                else:
+                    assert check.value == reprojected
+    assert answered > 0
+
+
+def test_full_verify_on_ball_solves_only_curly_gradient(ball_engine,
+                                                        monkeypatch):
+    # b1 = b2 = 0 on a ball: both harmonic components are noise within the
+    # bound, so only the curly gradient's two relations need a solve
+    X = h.random_field(ball_engine.mesh, seed=8, normalize=True)
+    r = ball_engine.decompose(X, "FULL")
+    calls = []
+    solve = hodge_module.solve_spsd
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(hodge_module, "solve_spsd", counting_solve)
+    rep = ball_engine.verify(r)
+    assert rep.passed
+    assert len(calls) == 2
+
+
+def test_verify_catches_gradient_in_harmonic_dirichlet(torus_engine):
+    X = h.sample_analytic(torus_engine.mesh, "X4")
+    r = torus_engine.decompose(X, "FD")
+    G = _random_member(torus_engine, "grad", False, seed=24)
+    bad = dict(r.components)
+    bad["harmonic_dirichlet"] = h.combine(bad["harmonic_dirichlet"], G,
+                                          1.0, 1e-2)
+    # the stored norm claims the component vanishes; verify must not
+    # trust it
+    broken = replace(r, components=bad,
+                     sq_norms={**r.sq_norms, "harmonic_dirichlet": 1e-30})
+    by_name = {c.name: c for c in torus_engine.verify(broken).checks}
+    check = by_name["harmonic_dirichlet_vs_grad_unconstrained"]
+    assert not check.passed
+    assert check.value >= 1e4 * check.bound
 
 
 def test_estimate_dimensions_coarse(ball_tiny, torus_coarse, cavity_coarse):
