@@ -4,7 +4,9 @@ Every scheme is an iterated residual pipeline: project, subtract, repeat.
 The three-term schemes split a field against one curl space and one
 gradient space; the four- and five-term schemes refine those parts by
 further projections, and the remainders are the topology-carrying
-harmonic components.
+harmonic components. Only the gradient projections are solved: each
+curl projection is the complement of a gradient projection and of a
+projection onto a harmonic space whose dimension is a Betti number.
 
 Component names follow the classical vocabulary: fluxless knots (curls of
 boundary-normal potentials), grounded gradients (gradients vanishing on
@@ -16,12 +18,15 @@ and tunnels.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .assembly import SparseSymMatrix, assemble_gram, assemble_rhs, reconstruct
 from .errors import ConvergenceError, FieldError
 from .fem import build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
-from .mesh import TetMesh, betti_numbers
+from .mesh import (_LOCAL_EDGES, TetMesh, _boundary_surfaces,
+                   _interior_face_tets, _solid_components, betti_numbers)
 from .solver import solve_spsd
 
 __all__ = [
@@ -44,14 +49,16 @@ ZERO_THRESHOLD = 1e-10
 # constrained, projection, remainder) projects the field named `source`
 # onto the curl or grad space, with or without the boundary constraint,
 # and names the projection and the remainder. FN and FD are the two
-# chains: the Neumann type projects onto the unconstrained curl space
-# first, the Dirichlet type onto the constrained one. HMF_N refines FN's
-# curl part, HMF_D refines FD's gradient part, and FULL further splits
-# HMF_D's harmonic gradient.
-_FN = (("input", "curl", False, "curl", "curl_free"),
-       ("curl_free", "grad", True, "grounded_gradient", "harmonic_neumann"))
-_FD = (("input", "curl", True, "fluxless_knot", "knot_free"),
-       ("knot_free", "grad", False, "gradient", "harmonic_dirichlet"))
+# chains: the Neumann type splits off the constrained gradients first, the
+# Dirichlet type the unconstrained ones, and the curl step then splits the
+# rest into its curl and harmonic parts. HMF_N refines FN's curl part,
+# HMF_D refines FD's gradient part, and FULL further splits HMF_D's
+# harmonic gradient. Only grad steps solve; see `HodgeDecomposer.decompose`
+# for how a curl step gets by with one solve or none.
+_FN = (("input", "grad", True, "grounded_gradient", "gradient_free"),
+       ("gradient_free", "curl", False, "curl", "harmonic_neumann"))
+_FD = (("input", "grad", False, "gradient", "gradient_free"),
+       ("gradient_free", "curl", True, "fluxless_knot", "harmonic_dirichlet"))
 _HMF_D = _FD + (
     ("gradient", "grad", True, "grounded_gradient", "harmonic_gradient"),)
 _STEPS = {
@@ -89,6 +96,21 @@ def _components(steps) -> tuple:
 SCHEMES = tuple(_STEPS)
 SCHEME_COMPONENTS = {scheme: _components(steps)
                      for scheme, steps in _STEPS.items()}
+
+# Direct-path chains: each step (space, constrained, keep) solves the
+# projection of the current field and keeps the projection or the
+# remainder. The dimension oracle runs them on its probes, so it never
+# relies on the harmonic bases whose dimensions it checks.
+_DIMENSION_SOURCES = {
+    "neumann": (("curl", False, "remainder"), ("grad", True, "remainder")),
+    "dirichlet": (("curl", True, "remainder"), ("grad", False, "remainder")),
+    "central": (("curl", True, "remainder"), ("grad", False, "projection"),
+                ("grad", True, "remainder"), ("curl", False, "projection")),
+}
+
+# Tet-local edges of the face opposite each local vertex.
+_FACE_EDGES = np.array([[j for j, e in enumerate(_LOCAL_EDGES) if k not in e]
+                        for k in range(4)])
 
 
 @dataclass
@@ -143,10 +165,10 @@ def _normalize_scheme(scheme: str) -> str:
 class HodgeDecomposer:
     """Decomposition engine for one mesh.
 
-    Builds the element tables once and caches the four Gram matrices
-    (curl/gradient basis, with and without boundary constraint) across
-    projections, so repeated decompositions on the same mesh only pay for
-    the solves.
+    Builds the element tables once and caches the Gram matrices
+    (curl/gradient basis, with and without boundary constraint) and the
+    two harmonic bases across projections, so repeated decompositions on
+    the same mesh only pay for the solves.
     """
 
     def __init__(self, mesh: TetMesh, tol: float = 1e-12,
@@ -156,6 +178,7 @@ class HodgeDecomposer:
         self.max_iter = max_iter
         self.tables, self._dof_edge, self._dof_face = build_element_tables(mesh)
         self._grams = {}
+        self._bases = {}
 
     def _dofmap(self, space: str):
         return self._dof_edge if space == "curl" else self._dof_face
@@ -175,10 +198,11 @@ class HodgeDecomposer:
             self._grams[key] = (gram, peak)
         return self._grams[key]
 
-    def _project(self, X: Pcvf, space: str, constrained: bool):
+    def _project(self, X: Pcvf, space: str, constrained: bool,
+                 prefix: str = ""):
         if X.mesh is not self.mesh:
             raise FieldError("field does not live on this decomposer's mesh")
-        stage = _stage(space, constrained)
+        stage = prefix + _stage(space, constrained)
         dofmap = self._dofmap(space)
         b = assemble_rhs(X, self.tables, dofmap, constrained)
         gram, peak_diag = self._gram(space, constrained)
@@ -192,6 +216,168 @@ class HodgeDecomposer:
         if not report.converged:
             raise ConvergenceError(stage, report)
         return reconstruct(self.mesh, self.tables, dofmap, coeff), report, stage
+
+    def _surface_lifts(self):
+        """Gradients of the CR functions that are 1 on the faces of one
+        boundary surface and 0 on every other face, for all surfaces but
+        one per connected solid (lifting all of a solid's surfaces gives a
+        constant, whose gradient vanishes)."""
+        mesh = self.mesh
+        bfaces, label, _, n_surf = _boundary_surfaces(mesh)
+        _, solid = _solid_components(mesh)
+        face_solid = np.empty(mesh.n_f, dtype=solid.dtype)
+        face_solid[mesh.tet_faces] = solid[:, None]
+        surface_solid = np.empty(n_surf, dtype=solid.dtype)
+        surface_solid[label] = face_solid[bfaces]
+        unlifted = np.unique(surface_solid, return_index=True)[1]
+        for s in np.setdiff1d(np.arange(n_surf), unlifted):
+            coeff = np.zeros(mesh.n_f)
+            coeff[bfaces[label == s]] = 1.0
+            yield reconstruct(mesh, self.tables, self._dof_face, coeff)
+
+    def _cut_fields(self):
+        """Fields whose Dirichlet remainders span H_D, one per tunnel.
+
+        Each interior face f gets a jump J_f, and the field is J_f times
+        the gradient of f's CR basis function on the first of f's two
+        tets: the broken gradient of a CR function that jumps by J_f across
+        f. It is L2-orthogonal to curl Ned_0 exactly when, at every
+        interior edge e, sum_f J_f * s_ef = 0 with s_ef = (field of f,
+        curl N_e) = +-1 for the faces of e (discrete Stokes: the jump
+        surface ends on the boundary). Jumps that are differences of
+        per-tet constants give gradients of CR functions; fixing J = 0 on
+        a spanning forest of the tet graph removes them and leaves a b1-
+        dimensional solution space. It is found by elimination: an edge
+        with one undetermined face determines it; when none has, the
+        lowest undetermined face becomes a free parameter. The edges
+        never used that way give equations on the parameters, whose null
+        space picks the solutions. The jumps are O(1) on the faces of a
+        surface that cuts the tunnels, so the field's H_D part is a flux
+        through that surface and does not shrink with the tet count, as a
+        random field's would.
+        """
+        mesh, tables = self.mesh, self.tables
+        if betti_numbers(mesh).b1 == 0:
+            return
+        owner, slot, other = _interior_face_tets(mesh)
+        n_if = len(owner)
+        tree = minimum_spanning_tree(coo_matrix(
+            (np.arange(1.0, n_if + 1), (owner, other)),
+            shape=(mesh.n_t, mesh.n_t)))
+        undetermined = np.ones(n_if, dtype=bool)
+        undetermined[tree.data.astype(np.intp) - 1] = False
+
+        grads = tables.cr_gradients[owner, slot]
+        local = _FACE_EDGES[slot]
+        edge = mesh.tet_edges[owner[:, None], local]
+        sign = np.rint(mesh.volumes[owner, None] * np.einsum(
+            "fd,fld->fl", grads, tables.ned_curls[owner[:, None], local]))
+        edge = np.where(mesh.boundary_edge[edge], -1, edge)
+        inner = edge >= 0
+        face_of = np.broadcast_to(np.arange(n_if)[:, None], edge.shape)[inner]
+        inc = csr_matrix((sign[inner], (edge[inner], face_of)),
+                         shape=(mesh.n_e, n_if))
+        indptr, faces, signs = (inc.indptr.tolist(), inc.indices.tolist(),
+                                inc.data.tolist())
+        open_count = np.bincount(edge[inner][undetermined[face_of]],
+                                 minlength=mesh.n_e).tolist()
+        face_edges = edge.tolist()
+        undetermined = undetermined.tolist()
+        jumps = {}      # face -> {parameter: coefficient}; absent when zero
+        used = [False] * mesh.n_e
+        ready = [e for e, c in enumerate(open_count) if c == 1]
+
+        def settle(f):
+            undetermined[f] = False
+            for e in face_edges[f]:
+                if e >= 0:
+                    open_count[e] -= 1
+                    if open_count[e] == 1:
+                        ready.append(e)
+
+        n_param, lowest = 0, 0
+        while True:
+            while ready:
+                e = ready.pop()
+                if open_count[e] != 1:
+                    continue
+                used[e] = True
+                total = {}
+                for q in range(indptr[e], indptr[e + 1]):
+                    f = faces[q]
+                    if undetermined[f]:
+                        target, s_target = f, signs[q]
+                    elif f in jumps:
+                        for p, c in jumps[f].items():
+                            total[p] = total.get(p, 0.0) + signs[q] * c
+                value = {p: -s_target * c for p, c in total.items() if c}
+                if value:
+                    jumps[target] = value
+                settle(target)
+            while lowest < n_if and not undetermined[lowest]:
+                lowest += 1
+            if lowest == n_if:
+                break
+            jumps[lowest] = {n_param: 1.0}
+            n_param += 1
+            settle(lowest)
+        if n_param == 0:
+            return
+
+        coeff = np.zeros((n_if, n_param))
+        for f, value in jumps.items():
+            coeff[f, list(value)] = list(value.values())
+        unused = np.flatnonzero(~np.array(used) & (np.diff(inc.indptr) > 0))
+        equations = np.vstack([np.zeros(n_param), inc[unused] @ coeff])
+        sv, vt = np.linalg.svd(np.linalg.qr(equations, mode="r"))[1:]
+        null = vt[int((sv > 1e-9 * max(sv[0], 1.0)).sum()):].T
+        for J in (coeff @ null).T:
+            vectors = np.zeros((mesh.n_t, 3))
+            np.add.at(vectors, owner, J[:, None] * grads)
+            yield Pcvf(mesh, vectors)
+
+    def _harmonic_basis(self, kind: str, reports: list) -> list:
+        """L2-orthonormal basis of H_N ("neumann") or H_D ("dirichlet").
+
+        Built on first use and cached; its solves are appended to
+        `reports` under the stage `basis_<kind>/<stage>`. H_N is spanned
+        by the gradients of the surface lifts minus their grad-constrained
+        projections; by discrete Stokes on each closed surface such a
+        gradient is already orthogonal to curl Ned. H_D is spanned by the
+        cut fields minus their grad-unconstrained projections; the cut
+        fields are orthogonal to curl Ned_0 by construction. Each seed is
+        projected twice. A remainder keeps only a share of its seed's
+        norm (a cut field's is 5-8% at h = 0.2-0.1), and the first solve
+        stops at a residual relative to the seed; the second starts from
+        the remainder, stops at a residual relative to it, and takes about
+        a tenth of the first one's iterations. Remainders of the unit-norm
+        seeds below ZERO_THRESHOLD are dropped before the
+        orthonormalization.
+        """
+        if kind not in self._bases:
+            if kind == "neumann":
+                seeds, constrained = self._surface_lifts(), True
+            else:
+                seeds, constrained = self._cut_fields(), False
+            kept = []
+            for Y in seeds:
+                Y = Pcvf(self.mesh, Y.vectors / np.sqrt(sq_norm(Y)))
+                for _ in range(2):
+                    P, rep, stage = self._project(Y, "grad", constrained,
+                                                  f"basis_{kind}/")
+                    reports.append((stage, rep))
+                    Y = combine(Y, P, 1.0, -1.0)
+                if sq_norm(Y) >= ZERO_THRESHOLD:
+                    kept.append(Y.vectors)
+            basis = []
+            if kept:
+                # QR of the volume-weighted vectors: orthonormal in L2
+                w = np.sqrt(self.mesh.volumes)[:, None]
+                q = np.linalg.qr(np.stack([(v * w).ravel() for v in kept],
+                                          axis=1))[0]
+                basis = [Pcvf(self.mesh, col.reshape(-1, 3) / w) for col in q.T]
+            self._bases[kind] = basis
+        return self._bases[kind]
 
     def project_curl(self, X: Pcvf, constrained: bool = True) -> Pcvf:
         """L2-orthogonal projection onto the (constrained) curl space."""
@@ -208,14 +394,43 @@ class HodgeDecomposer:
         and subtracts; the projection and the remainder are kept under
         the step's names, and the fields no later step uses are the
         components.
+
+        Only the grad steps solve. A curl step takes its projection from
+        the paper's two orthogonal splits, curl Ned_0 + grad CR + H_D and
+        curl Ned + grad CR_0 + H_N: with the grad space G and the harmonic
+        space H that complete the curl space, P_curl Y = R - P_H R for
+        R = Y - P_G Y. P_G Y is zero, and not solved, when Y is itself the
+        remainder of a projection onto G. P_H uses the cached harmonic
+        basis, which is empty when the Betti number is 0. The solves that
+        build a basis run in the first decompose that needs it and are
+        listed in its `solver_reports`. Building a basis needs the
+        boundary surfaces and Betti numbers, so a mesh that is not a solid
+        in 3-space raises NonManifoldError.
         """
         scheme = _normalize_scheme(scheme)
+        steps = _STEPS[scheme]
+        made_by = {step[4]: step[1:3] for step in steps}
         reports = []
-        parts = {"input": X}
-        for source, space, constrained, projection, remainder in _STEPS[scheme]:
-            Y = parts[source]
-            P, rep, stage = self._project(Y, space, constrained)
+
+        def project_grad(Y, constrained):
+            P, rep, stage = self._project(Y, "grad", constrained)
             reports.append((stage, rep))
+            return P
+
+        parts = {"input": X}
+        for source, space, constrained, projection, remainder in steps:
+            Y = parts[source]
+            if space == "grad":
+                P = project_grad(Y, constrained)
+            else:
+                R = Y
+                if made_by.get(source) != ("grad", not constrained):
+                    R = combine(Y, project_grad(Y, not constrained), 1.0, -1.0)
+                basis = self._harmonic_basis(
+                    "dirichlet" if constrained else "neumann", reports)
+                P = R
+                for e in basis:
+                    P = combine(P, e, 1.0, -l2_inner(R, e))
             parts[projection] = P
             parts[remainder] = combine(Y, P, 1.0, -1.0)
 
@@ -241,12 +456,15 @@ class HodgeDecomposer:
         component's own squared norm is already within the bound, the
         value is that norm instead and no solve runs: by Bessel's
         inequality no projection of a field is longer than the field.
+        Every norm is taken from the fields, never from the stored
+        `sq_norms`, zero flags or input norm, which a caller may edit.
         Reporting only; nothing is raised.
         """
         checks = []
         comps = result.components
         X = result.input
-        in_sq = result.input_sq_norm
+        sq = {name: sq_norm(f) for name, f in comps.items()}
+        in_sq = sq_norm(X)
         in_norm = np.sqrt(in_sq)
 
         def add(name, value, bound):
@@ -260,24 +478,23 @@ class HodgeDecomposer:
         add("reconstruction", rec, 1e-10)
 
         pyth_bound = 1e-8 * (in_sq if in_sq > 0 else 1.0)
-        add("pythagoras", abs(in_sq - sum(result.sq_norms.values())), pyth_bound)
+        add("pythagoras", abs(in_sq - sum(sq.values())), pyth_bound)
 
         # zero-classified components are noise-floor fields with no
         # meaningful direction; they count as zero in the pairwise check
-        names = [n for n in comps if not result.zero_flags[n]]
+        names = [n for n in comps if sq[n] >= ZERO_THRESHOLD]
         worst = 0.0
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
-                ni = np.sqrt(result.sq_norms[names[i]])
-                nj = np.sqrt(result.sq_norms[names[j]])
+                ni = np.sqrt(sq[names[i]])
+                nj = np.sqrt(sq[names[j]])
                 worst = max(worst, abs(l2_inner(comps[names[i]],
                                                 comps[names[j]])) / (ni * nj))
         add("orthogonality", worst, 1e-8)
 
         mem_bound = ZERO_THRESHOLD * max(1.0, in_sq)
         for name, comp in comps.items():
-            # from the field itself: a caller may have edited result.sq_norms
-            comp_sq = sq_norm(comp)
+            comp_sq = sq[name]
             for space, constrained in _RELATIONS[name]:
                 if comp_sq <= mem_bound:
                     value = comp_sq
@@ -285,13 +502,6 @@ class HodgeDecomposer:
                     value = sq_norm(self._project(comp, space, constrained)[0])
                 add(f"{name}_vs_{_stage(space, constrained)}", value, mem_bound)
         return VerificationReport(checks=checks)
-
-
-_DIMENSION_SOURCES = {
-    "neumann": ("FN", "harmonic_neumann"),
-    "dirichlet": ("FD", "harmonic_dirichlet"),
-    "central": ("FULL", "curly_gradient"),
-}
 
 
 def _expected_dimension(mesh: TetMesh, which: str) -> int:
@@ -307,16 +517,19 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
                                 max_iter: int | None = None) -> int:
     """Numerical dimension of a harmonic (or central) subspace.
 
-    Decomposes `probes` seeded unit-norm random fields, collects the
-    requested component of each, and returns the numerical rank of their
-    Gram matrix at relative eigenvalue threshold 1e-8. Components that
-    are zero-classified (squared norm below 1e-10) are discarded first.
+    Takes the requested component of `probes` seeded unit-norm random
+    fields and returns the numerical rank of their Gram matrix at relative
+    eigenvalue threshold 1e-8. Components that are zero-classified
+    (squared norm below 1e-10) are discarded first. Every projection on
+    the way to a component is solved directly, curl ones included; the
+    harmonic bases that `decompose` uses are never built here, so the
+    result is an independent check of their dimensions.
 
     The number of probes must exceed the topologically expected dimension
     by at least 5 (the default).
     """
     try:
-        scheme, component = _DIMENSION_SOURCES[which]
+        chain = _DIMENSION_SOURCES[which]
     except KeyError:
         raise ValueError(f"unknown subspace '{which}' "
                          f"(choose from {sorted(_DIMENSION_SOURCES)})") from None
@@ -331,8 +544,10 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
     engine = HodgeDecomposer(mesh, tol=tol, max_iter=max_iter)
     kept = []
     for i in range(probes):
-        X = random_field(mesh, seed=[seed, i], normalize=True)
-        comp = engine.decompose(X, scheme).components[component]
+        comp = random_field(mesh, seed=[seed, i], normalize=True)
+        for space, constrained, keep in chain:
+            P = engine._project(comp, space, constrained)[0]
+            comp = P if keep == "projection" else combine(comp, P, 1.0, -1.0)
         if sq_norm(comp) >= ZERO_THRESHOLD:
             kept.append(comp)
     if not kept:

@@ -229,39 +229,42 @@ def build_complex(vertices, tets) -> TetMesh:
                    tet_faces, boundary_vertex, boundary_edge, boundary_face, volumes)
 
 
-def _solid_components(mesh: TetMesh) -> int:
-    """Number of connected components of the tet adjacency graph."""
-    f_flat = mesh.tet_faces.ravel()
-    t_ids = np.repeat(np.arange(mesh.n_t), 4)
-    order = np.argsort(f_flat, kind="stable")
-    f_sorted = f_flat[order]
-    t_sorted = t_ids[order]
-    same = f_sorted[1:] == f_sorted[:-1]
-    a = t_sorted[:-1][same]
-    b = t_sorted[1:][same]
+def _interior_face_tets(mesh: TetMesh):
+    """The two tets of each interior face: (owner, slot, other), where the
+    owner is the lower-indexed tet and the face is its local face `slot`."""
+    flat = mesh.tet_faces.ravel()
+    order = np.argsort(flat, kind="stable")
+    pair = np.flatnonzero(flat[order][1:] == flat[order][:-1])
+    owner, slot = np.divmod(order[pair], 4)
+    return owner, slot, order[pair + 1] // 4
+
+
+def _solid_components(mesh: TetMesh):
+    """Connected components of the tet adjacency graph: (count, label per tet)."""
+    a, _, b = _interior_face_tets(mesh)
     graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(mesh.n_t, mesh.n_t))
-    n_comp, _ = connected_components(graph, directed=False)
-    return int(n_comp)
+    n_comp, labels = connected_components(graph, directed=False)
+    return int(n_comp), labels
 
 
-def betti_numbers(mesh: TetMesh) -> BettiNumbers:
-    """Betti numbers (b0, b1, b2) from boundary-surface Euler characteristics.
+def _boundary_surfaces(mesh: TetMesh):
+    """Label the boundary faces by the closed surface they lie on.
 
-    Valid for compact solids embedded in 3-space: b0 is the number of
-    connected solids, b1 the total genus of the boundary surfaces
-    (handles/tunnels), b2 the number of cavities. The result's `h2` and
-    `h2_rel` name the harmonic-space dimensions these induce.
+    Two boundary faces lie on one surface when they share a boundary edge.
+
+    Returns
+    -------
+    (bface_ids, face_label, edge_label, n_surf)
+        The boundary face indices, the surface label of each of them, the
+        surface label of each boundary edge, and the number of surfaces.
 
     Raises
     ------
     NonManifoldError
-        If a boundary edge does not have exactly two boundary faces, a
-        boundary component has odd Euler characteristic, or the interior
-        Euler characteristic is inconsistent with the boundary's.
+        If there is no boundary, or a boundary edge does not have exactly
+        two boundary faces.
     """
     n_v = mesh.n_v
-    b0 = _solid_components(mesh)
-
     bface_ids = np.flatnonzero(mesh.boundary_face)
     n_bf = len(bface_ids)
     if n_bf == 0:
@@ -283,12 +286,33 @@ def betti_numbers(mesh: TetMesh) -> BettiNumbers:
     fb = owner_s[starts + 1]
     graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(n_bf, n_bf))
     n_surf, face_label = connected_components(graph, directed=False)
+    # boundary edges inherit the (shared) label of their two faces
+    return bface_ids, face_label, face_label[fa], int(n_surf)
+
+
+def betti_numbers(mesh: TetMesh) -> BettiNumbers:
+    """Betti numbers (b0, b1, b2) from boundary-surface Euler characteristics.
+
+    Valid for compact solids embedded in 3-space: b0 is the number of
+    connected solids, b1 the total genus of the boundary surfaces
+    (handles/tunnels), b2 the number of cavities. The result's `h2` and
+    `h2_rel` name the harmonic-space dimensions these induce.
+
+    Raises
+    ------
+    NonManifoldError
+        If a boundary edge does not have exactly two boundary faces, a
+        boundary component has odd Euler characteristic, or the interior
+        Euler characteristic is inconsistent with the boundary's.
+    """
+    n_v = mesh.n_v
+    b0, _ = _solid_components(mesh)
+    bface_ids, face_label, edge_label, n_surf = _boundary_surfaces(mesh)
 
     f_per = np.bincount(face_label, minlength=n_surf)
-    # Boundary edges inherit the (shared) label of their two faces.
-    e_per = np.bincount(face_label[fa], minlength=n_surf)
+    e_per = np.bincount(edge_label, minlength=n_surf)
     # Vertices counted once per (surface component, vertex) pair.
-    pair = face_label[:, None] * np.int64(n_v) + bf
+    pair = face_label[:, None] * np.int64(n_v) + mesh.faces[bface_ids]
     upair = np.unique(pair)
     v_per = np.bincount((upair // n_v).astype(np.intp), minlength=n_surf)
 
@@ -302,7 +326,7 @@ def betti_numbers(mesh: TetMesh) -> BettiNumbers:
     if 2 * mesh.euler_characteristic != int(chi.sum()):
         raise NonManifoldError("Euler characteristic of the solid does not match "
                                "half the boundary's (non-manifold input)")
-    return BettiNumbers(b0=b0, b1=int(genus.sum()), b2=int(n_surf) - b0)
+    return BettiNumbers(b0=b0, b1=int(genus.sum()), b2=n_surf - b0)
 
 
 # --- voxel domain generation -------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -297,12 +298,7 @@ def test_membership_bound_matches_reprojection(request, domain, analytic):
     assert answered > 0
 
 
-def test_full_verify_on_ball_solves_only_curly_gradient(ball_engine,
-                                                        monkeypatch):
-    # b1 = b2 = 0 on a ball: both harmonic components are noise within the
-    # bound, so only the curly gradient's two relations need a solve
-    X = h.random_field(ball_engine.mesh, seed=8, normalize=True)
-    r = ball_engine.decompose(X, "FULL")
+def _count_solves(monkeypatch):
     calls = []
     solve = hodge_module.solve_spsd
 
@@ -311,6 +307,16 @@ def test_full_verify_on_ball_solves_only_curly_gradient(ball_engine,
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(hodge_module, "solve_spsd", counting_solve)
+    return calls
+
+
+def test_full_verify_on_ball_solves_only_curly_gradient(ball_engine,
+                                                        monkeypatch):
+    # b1 = b2 = 0 on a ball: both harmonic components are within the
+    # bound, so only the curly gradient's two relations need a solve
+    X = h.random_field(ball_engine.mesh, seed=8, normalize=True)
+    r = ball_engine.decompose(X, "FULL")
+    calls = _count_solves(monkeypatch)
     rep = ball_engine.verify(r)
     assert rep.passed
     assert len(calls) == 2
@@ -359,3 +365,178 @@ def test_one_shot_module_functions(ball_tiny):
     assert rep.passed
     P = h.HodgeDecomposer(ball_tiny).project_grad(X, constrained=False)
     assert h.sq_norm(P) == pytest.approx(h.sq_norm(X), rel=1e-10)
+
+
+def test_verify_ignores_stored_norms(torus_engine):
+    # a nonzero component whose stored squared norm is edited to 0.0 must
+    # not reach a normalizer: verify takes every norm from the fields
+    X = h.sample_analytic(torus_engine.mesh, "X4")
+    r = torus_engine.decompose(X, "FD")
+    assert r.sq_norms["gradient"] >= h.ZERO_THRESHOLD
+    edited = replace(r, sq_norms={**r.sq_norms, "gradient": 0.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = torus_engine.verify(edited).checks
+    want = torus_engine.verify(r).checks
+    assert all(np.isfinite(c.value) for c in got)
+    assert [(c.name, c.passed) for c in got] == \
+        [(c.name, c.passed) for c in want]
+
+
+def _direct_chain(engine, X, scheme):
+    """The components of `scheme` by one direct projection per step, in
+    the order that solves every curl projection."""
+    def sub(A, B):
+        return h.combine(A, B, 1.0, -1.0)
+
+    if scheme in ("FN", "HMF_N"):
+        curl = engine.project_curl(X, constrained=False)
+        gg = engine.project_grad(sub(X, curl), constrained=True)
+        out = {"curl": curl, "grounded_gradient": gg,
+               "harmonic_neumann": sub(sub(X, curl), gg)}
+        if scheme == "HMF_N":
+            knot = engine.project_curl(out.pop("curl"), constrained=True)
+            out["fluxless_knot"] = knot
+            out["harmonic_curl"] = sub(curl, knot)
+        return out
+    knot = engine.project_curl(X, constrained=True)
+    grad = engine.project_grad(sub(X, knot), constrained=False)
+    out = {"fluxless_knot": knot, "gradient": grad,
+           "harmonic_dirichlet": sub(sub(X, knot), grad)}
+    if scheme in ("HMF_D", "FULL"):
+        gg = engine.project_grad(out.pop("gradient"), constrained=True)
+        out["grounded_gradient"] = gg
+        out["harmonic_gradient"] = sub(grad, gg)
+        if scheme == "FULL":
+            hg = out.pop("harmonic_gradient")
+            out["curly_gradient"] = engine.project_curl(hg, constrained=False)
+            out["harmonic_neumann"] = sub(hg, out["curly_gradient"])
+    return out
+
+
+@pytest.mark.parametrize("domain", ["ball", "cavity", "torus"])
+def test_components_match_direct_chain(request, domain):
+    # decompose solves only gradient projections; every component must
+    # still equal the one a solve per projection gives
+    engine = request.getfixturevalue(f"{domain}_engine")
+    X = h.random_field(engine.mesh, seed=[6, 1], normalize=True)
+    for scheme in h.SCHEMES:
+        r = engine.decompose(X, scheme)
+        chain = _direct_chain(engine, X, scheme)
+        assert set(chain) == set(r.components)
+        for name, comp in r.components.items():
+            err = np.sqrt(h.sq_norm(h.combine(comp, chain[name], 1.0, -1.0)))
+            assert err <= 1e-9, (scheme, name, err)
+
+
+_SOLVES = {"FN": 1, "FD": 1, "HMF_N": 2, "HMF_D": 2, "FULL": 2}
+
+
+def test_decompose_solves_only_gradients(ball_engine, monkeypatch):
+    X = h.random_field(ball_engine.mesh, seed=9, normalize=True)
+    ball_engine.decompose(X, "FULL")          # warm: Grams and bases
+    calls = _count_solves(monkeypatch)
+    for scheme, n in _SOLVES.items():
+        del calls[:]
+        r = ball_engine.decompose(X, scheme)
+        assert len(calls) == n, scheme
+        # the report lists exactly the solves that ran
+        assert len(r.solver_reports) == n
+        assert all(stage.startswith("grad_") for stage, _ in r.solver_reports)
+
+
+@pytest.mark.parametrize("mesh_name,basis_stages,dims",
+                         [("torus_coarse",
+                           ["basis_dirichlet/grad_unconstrained"] * 2,
+                           {"neumann": 0, "dirichlet": 1}),
+                          ("cavity_coarse",
+                           ["basis_neumann/grad_constrained"] * 2,
+                           {"neumann": 1, "dirichlet": 0})])
+def test_harmonic_basis_solves_once_per_engine(request, monkeypatch,
+                                               mesh_name, basis_stages, dims):
+    # two gradient solves (a solve and a short refinement) per tunnel or
+    # cavity, on the first decompose that needs the basis only, and listed
+    # in that decompose's report
+    engine = h.HodgeDecomposer(request.getfixturevalue(mesh_name))
+    X = h.random_field(engine.mesh, seed=10, normalize=True)
+    calls = _count_solves(monkeypatch)
+    per_round, stages = [], []
+    for _ in range(2):
+        del calls[:]
+        for scheme in h.SCHEMES:
+            r = engine.decompose(X, scheme)
+            stages += [s for s, _ in r.solver_reports if s.startswith("basis")]
+        per_round.append(len(calls))
+    assert per_round == [sum(_SOLVES.values()) + len(basis_stages),
+                         sum(_SOLVES.values())]
+    assert stages == basis_stages
+    assert {kind: len(b) for kind, b in engine._bases.items()} == dims
+
+
+def test_basis_solve_failure_names_the_basis(torus_coarse, monkeypatch):
+    engine = h.HodgeDecomposer(torus_coarse)
+    X = h.random_field(torus_coarse, seed=11, normalize=True)
+    solve = hodge_module.solve_spsd
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        x, rep = solve(*args, **kwargs)
+        calls.append(1)
+        return x, replace(rep, converged=len(calls) != 2)
+
+    monkeypatch.setattr(hodge_module, "solve_spsd", second_fails)
+    with pytest.raises(h.ConvergenceError) as exc:
+        engine.decompose(X, "FD")
+    assert exc.value.stage == "basis_dirichlet/grad_unconstrained"
+
+
+def _union(*meshes):
+    """The disjoint union of meshes, each shifted 4 units further along x."""
+    verts, tets, offset = [], [], 0
+    for i, m in enumerate(meshes):
+        verts.append(m.vertices + [4.0 * i, 0.0, 0.0])
+        tets.append(m.tets + offset)
+        offset += m.n_v
+    return h.build_complex(np.vstack(verts), np.vstack(tets))
+
+
+@pytest.mark.parametrize("case", ["disjoint_solids", "finer_torus"])
+def test_harmonic_bases_match_direct_chain(case):
+    # two tori and a shelled ball (b0=3, b1=2, b2=1) need a cut per
+    # tunnel in separate solids; the finer torus shows that the accuracy
+    # of the complements does not degrade with the tet count
+    if case == "disjoint_solids":
+        torus = h.generate_voxel_domain("solid_torus", 0.3)
+        cavity = h.generate_voxel_domain("ball_with_cavity", 0.3,
+                                         cavity_radius=0.5)
+        mesh, schemes = _union(torus, torus, cavity), h.SCHEMES
+    else:
+        mesh, schemes = h.generate_voxel_domain("solid_torus", 0.1), ("FD",)
+    b = h.betti_numbers(mesh)
+    engine = h.HodgeDecomposer(mesh)
+    X = h.random_field(mesh, seed=[6, 2], normalize=True)
+    for scheme in schemes:
+        r = engine.decompose(X, scheme)
+        chain = _direct_chain(engine, X, scheme)
+        for name, comp in r.components.items():
+            err = np.sqrt(h.sq_norm(h.combine(comp, chain[name], 1.0, -1.0)))
+            assert err <= 1e-9, (scheme, name, err)       # seen: 2.8e-12
+        checks = {c.name: c for c in engine.verify(r).checks}
+        assert all(c.passed for c in checks.values())
+        assert checks["orthogonality"].value <= 1e-10     # seen: 4.7e-14
+    assert len(engine._bases["dirichlet"]) == b.h2_rel
+    if "neumann" in engine._bases:
+        assert len(engine._bases["neumann"]) == b.h2
+
+
+def test_dimension_oracle_does_not_use_harmonic_bases(monkeypatch,
+                                                      torus_coarse,
+                                                      cavity_coarse):
+    def refuse(self, *args):
+        raise AssertionError("the dimension oracle built a harmonic basis")
+
+    monkeypatch.setattr(h.HodgeDecomposer, "_harmonic_basis", refuse)
+    for mesh, want in ((cavity_coarse, (1, 0)), (torus_coarse, (0, 1))):
+        got = tuple(h.estimate_harmonic_dimension(mesh, which)
+                    for which in ("neumann", "dirichlet"))
+        assert got == want

@@ -103,7 +103,7 @@ def test_engine_raises_convergence_error_with_stage(ball_coarse):
     X = h.random_field(ball_coarse, seed=3)
     with pytest.raises(ConvergenceError) as exc:
         eng.decompose(X, "FD")
-    assert exc.value.stage == "curl_constrained"
+    assert exc.value.stage == "grad_unconstrained"
 
 
 def test_projection_idempotent_through_solver(torus_engine):
