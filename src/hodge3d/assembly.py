@@ -1,9 +1,8 @@
 """Galerkin assembly of Gram matrices and projection right-hand sides.
 
 All integrands are constant per tet, so every integral is exact; there is
-no quadrature order anywhere. Boundary conditions are imposed by identity
-rows so that dof numbering stays identical between the constrained and
-unconstrained variants.
+no quadrature order anywhere. The engine solves a boundary-constrained
+system on the interior block of the one Gram it assembles per space.
 """
 
 from dataclasses import dataclass
@@ -55,18 +54,12 @@ def _table_for(tables: ElementTables, dofmap: DofMap) -> np.ndarray:
     raise ValueError(f"unknown dof kind '{dofmap.kind}'")
 
 
-def assemble_gram(mesh: TetMesh, tables: ElementTables, dofmap: DofMap,
-                  constrained: bool = False) -> SparseSymMatrix:
-    """Gram matrix of the derivative basis: A_ij = sum_t vol(t) <d_i, d_j>.
-
-    With `constrained`, rows and columns of boundary dofs are replaced by
-    identity rows with zero coupling, which restricts the solve to the
-    interior (boundary-constrained) subspace while keeping the numbering.
-    """
+def assemble_gram(mesh: TetMesh, tables: ElementTables,
+                  dofmap: DofMap) -> SparseSymMatrix:
+    """Gram matrix of the derivative basis: A_ij = sum_t vol(t) <d_i, d_j>."""
     table = _table_for(tables, dofmap)
     dofs = dofmap.tet_to_dof
     n = dofmap.n_dofs
-    interior = dofmap.interior_mask
 
     acc = sp.csr_matrix((n, n))
     for start in range(0, mesh.n_t, _CHUNK):
@@ -75,32 +68,21 @@ def assemble_gram(mesh: TetMesh, tables: ElementTables, dofmap: DofMap,
         blocks = mesh.volumes[sl, None, None] * np.einsum("tld,tmd->tlm", d, d)
         rows = np.broadcast_to(dofs[sl][:, :, None], blocks.shape).ravel()
         cols = np.broadcast_to(dofs[sl][:, None, :], blocks.shape).ravel()
-        vals = blocks.ravel()
-        if constrained:
-            keep = interior[rows] & interior[cols]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        acc = acc + sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if constrained:
-        filler = sp.diags((~interior).astype(np.float64), format="csr")
-        acc = acc + filler
+        acc = acc + sp.coo_matrix((blocks.ravel(), (rows, cols)),
+                                  shape=(n, n)).tocsr()
     acc.sum_duplicates()
     acc.sort_indices()
     return SparseSymMatrix(csr=acc)
 
 
-def assemble_rhs(X: Pcvf, tables: ElementTables, dofmap: DofMap,
-                 constrained: bool = False) -> np.ndarray:
-    """Projection vector b_j = sum_t vol(t) <X_t, d_j>; boundary entries
-    are zeroed when constrained."""
+def assemble_rhs(X: Pcvf, tables: ElementTables, dofmap: DofMap) -> np.ndarray:
+    """Projection vector b_j = sum_t vol(t) <X_t, d_j>."""
     if X.mesh.n_t != tables.cr_gradients.shape[0]:
         raise FieldError("field and element tables belong to different meshes")
     table = _table_for(tables, dofmap)
     contrib = X.mesh.volumes[:, None] * np.einsum("td,tld->tl", X.vectors, table)
-    b = np.bincount(dofmap.tet_to_dof.ravel(), weights=contrib.ravel(),
-                    minlength=dofmap.n_dofs)
-    if constrained:
-        b[~dofmap.interior_mask] = 0.0
-    return b
+    return np.bincount(dofmap.tet_to_dof.ravel(), weights=contrib.ravel(),
+                       minlength=dofmap.n_dofs)
 
 
 def reconstruct(mesh: TetMesh, tables: ElementTables, dofmap: DofMap,

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field, replace
 from ._version import __version__
 from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
-from .hodge import (_DIMENSION_SOURCES, SCHEME_COMPONENTS, SCHEMES,
-                    HodgeDecomposer, _expected_dimension,
+from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
+                    SCHEMES, HodgeDecomposer, _expected_dimension,
                     estimate_harmonic_dimension)
 from .io import make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
@@ -67,8 +67,14 @@ class RunConfig:
         if self.subcommand in ("decompose", "sweep"):
             if self.field_source is None:
                 raise _UsageError("--field is required")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise _UsageError("--rho must be >= 0")
+        if not self.tol > 0:
+            raise _UsageError("--tol must be > 0")
+        unknown = sorted(set(self.formats) - {"vtk", "json"})
+        if unknown:
+            raise _UsageError(f"unknown output format '{unknown[0]}' "
+                              "(choose from vtk, json)")
 
 
 def _build_mesh(cfg: RunConfig):
@@ -132,15 +138,14 @@ def _decompose_core(cfg: RunConfig):
     return result, paths
 
 
-def _print_result(result, file=None):
-    file = file if file is not None else sys.stdout
+def _print_result(result):
     print(f"scheme {result.scheme}: input squared norm "
-          f"{result.input_sq_norm:.6g}", file=file)
+          f"{result.input_sq_norm:.6g}")
     fractions = result.fractions()
     for name in result.components:
         flag = "  [zero]" if result.zero_flags[name] else ""
         print(f"  {name:<20} {result.sq_norms[name]:14.6e} "
-              f"({100 * fractions[name]:6.2f}%){flag}", file=file)
+              f"({100 * fractions[name]:6.2f}%){flag}")
 
 
 def _cmd_decompose(cfg: RunConfig) -> int:
@@ -158,19 +163,15 @@ _VALIDATE_CASES = (
 
 
 def _cmd_validate(cfg: RunConfig) -> int:
-    domains = {
-        "ball": ("ball", cfg.h_ball, {}),
-        "ball_with_cavity": ("ball_with_cavity", cfg.h_cavity, {}),
-        "solid_torus": ("solid_torus", cfg.h_torus, {}),
-    }
+    h_of = {"ball": cfg.h_ball, "ball_with_cavity": cfg.h_cavity,
+            "solid_torus": cfg.h_torus}
     engines = {}
     rows = []
     cases_out = []
     all_passed = True
     for fname, dom in _VALIDATE_CASES:
-        name, h, params = domains[dom]
         if dom not in engines:
-            mesh = generate_voxel_domain(name, h, **params)
+            mesh = generate_voxel_domain(dom, h_of[dom])
             engines[dom] = HodgeDecomposer(mesh, tol=cfg.tol,
                                            max_iter=cfg.max_iter)
         engine = engines[dom]
@@ -180,7 +181,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         all_passed &= verification.passed
         rows.append((fname, dom, result))
         cases_out.append({
-            "field": fname, "domain": name, "h": h,
+            "field": fname, "domain": dom, "h": h_of[dom],
             "report": make_report(result),
             "checks": [{"name": c.name, "passed": c.passed, "value": c.value,
                         "bound": c.bound} for c in verification.checks],
@@ -214,28 +215,29 @@ def _cmd_validate(cfg: RunConfig) -> int:
 
 def _cmd_dims(cfg: RunConfig) -> int:
     mesh = _build_mesh(cfg)
+    expected = {which: _expected_dimension(mesh, which) for which in cfg.which}
+    need = max(expected.values(), default=0) + _SPARE_PROBES
+    if cfg.probes is not None and cfg.probes < need:
+        raise _UsageError(f"--probes {cfg.probes} is below the required "
+                          f"minimum {need}")
     ok = True
     print(f"betti numbers: {tuple(betti_numbers(mesh))}")
     for which in cfg.which:
         est = estimate_harmonic_dimension(mesh, which, probes=cfg.probes,
                                           seed=cfg.seed, tol=cfg.tol,
                                           max_iter=cfg.max_iter)
-        exp = _expected_dimension(mesh, which)
-        print(f"{which}: {est} (expected {exp})")
-        ok &= est == exp
+        print(f"{which}: {est} (expected {expected[which]})")
+        ok &= est == expected[which]
     return 0 if ok else 1
 
 
 def _sweep_level(args):
     cfg, kind, value = args
     label = f"{kind}_{value:g}"
+    # kind names the swept RunConfig field: "h" or "rho"
     level_cfg = replace(cfg, subcommand="decompose",
                         out_dir=os.path.join(cfg.out_dir, label)
-                        if cfg.out_dir else None)
-    if kind == "h":
-        level_cfg = replace(level_cfg, h=float(value))
-    else:
-        level_cfg = replace(level_cfg, rho=float(value))
+                        if cfg.out_dir else None, **{kind: float(value)})
     result, _ = _decompose_core(level_cfg)
     row = {"kind": kind, "level": value,
            "n_t": result.input.mesh.n_t,
@@ -462,13 +464,10 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return run(_config_from_args(ns))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (Hodge3dError, OSError) as exc:
+    except (_UsageError, Hodge3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

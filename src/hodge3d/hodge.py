@@ -107,6 +107,8 @@ _DIMENSION_SOURCES = {
     "central": (("curl", True, "remainder"), ("grad", False, "projection"),
                 ("grad", True, "remainder"), ("curl", False, "projection")),
 }
+# Probes the dimension oracle takes beyond the expected dimension, at least.
+_SPARE_PROBES = 5
 
 # Tet-local edges of the face opposite each local vertex.
 _FACE_EDGES = np.array([[j for j, e in enumerate(_LOCAL_EDGES) if k not in e]
@@ -165,10 +167,10 @@ def _normalize_scheme(scheme: str) -> str:
 class HodgeDecomposer:
     """Decomposition engine for one mesh.
 
-    Builds the element tables once and caches the Gram matrices
-    (curl/gradient basis, with and without boundary constraint) and the
-    two harmonic bases across projections, so repeated decompositions on
-    the same mesh only pay for the solves.
+    Builds the element tables once and caches across projections one Gram
+    matrix per space (curl/gradient basis), its interior block as the
+    boundary-constrained system, and the two harmonic bases, so repeated
+    decompositions on the same mesh only pay for the solves.
     """
 
     def __init__(self, mesh: TetMesh, tol: float = 1e-12,
@@ -186,15 +188,15 @@ class HodgeDecomposer:
     def _gram(self, space: str, constrained: bool):
         key = (space, constrained)
         if key not in self._grams:
-            dofmap = self._dofmap(space)
-            gram = assemble_gram(self.mesh, self.tables, dofmap, constrained)
             if constrained:
-                # the boundary block is an identity with a zero rhs, so the
-                # solve runs on the interior dofs only
-                free = dofmap.interior_mask
-                gram = SparseSymMatrix(csr=gram.csr[free][:, free])
-            diag = gram.diagonal()
-            peak = float(diag.max()) if len(diag) else 0.0
+                # Ned_0 and CR_0 are spanned by the interior dofs, so their
+                # system is the interior block of the unconstrained Gram
+                full = self._gram(space, False)[0].csr
+                free = self._dofmap(space).interior_mask
+                gram = SparseSymMatrix(csr=full[free][:, free])
+            else:
+                gram = assemble_gram(self.mesh, self.tables, self._dofmap(space))
+            peak = float(gram.diagonal().max(initial=0.0))
             self._grams[key] = (gram, peak)
         return self._grams[key]
 
@@ -204,7 +206,7 @@ class HodgeDecomposer:
             raise FieldError("field does not live on this decomposer's mesh")
         stage = prefix + _stage(space, constrained)
         dofmap = self._dofmap(space)
-        b = assemble_rhs(X, self.tables, dofmap, constrained)
+        b = assemble_rhs(X, self.tables, dofmap)
         gram, peak_diag = self._gram(space, constrained)
         # Cauchy-Schwarz bounds every |b_j| by |X| * sqrt(A_jj); an rhs below
         # rounding level of that scale means the projection is zero.
@@ -534,12 +536,13 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
         raise ValueError(f"unknown subspace '{which}' "
                          f"(choose from {sorted(_DIMENSION_SOURCES)})") from None
     expected = _expected_dimension(mesh, which)
-    min_probes = expected + 5
+    min_probes = expected + _SPARE_PROBES
     if probes is None:
         probes = min_probes
     if probes < min_probes:
         raise ValueError(f"probe count {probes} below required minimum "
-                         f"{min_probes} (expected dimension {expected} + 5)")
+                         f"{min_probes} (expected dimension {expected} "
+                         f"+ {_SPARE_PROBES})")
 
     engine = HodgeDecomposer(mesh, tol=tol, max_iter=max_iter)
     kept = []

@@ -78,10 +78,11 @@ class _Tokens:
 
 
 def _parse_vtk(path: str):
-    """Parse a VTK legacy ASCII unstructured grid.
+    """Parse a VTK legacy ASCII unstructured grid of tetrahedra.
 
-    Returns (points, cells(list of index rows), cell_types,
-    cell_vectors{name: array}, point_vectors{name: array}).
+    Returns (points, cells (vertex indices of all cells in one flat
+    array), cell_types, cell_vectors{name: array},
+    point_vectors{name: array}).
     """
     with open(path, "r") as f:
         text = f.read()
@@ -99,10 +100,11 @@ def _parse_vtk(path: str):
     # token line numbers are offset by the 3 header lines we skipped
     header_offset = 3
 
-    def err(msg):
-        return ParseError(msg, path, ts.line() + header_offset)
+    def err(msg, token=None):
+        line = ts.line() if token is None else ts.lines[token]
+        return ParseError(msg, path, line + header_offset)
 
-    points = None
+    points = np.zeros((0, 3))
     cells = None
     cell_types = None
     cell_vectors = {}
@@ -123,20 +125,39 @@ def _parse_vtk(path: str):
         elif kw == "CELLS":
             n = ts.next_int()
             m = ts.next_int()
+            first = ts.pos
             raw = ts.take(m, np.int64)
-            cells = []
-            pos = 0
+            starts, pos = [], 0
             for _ in range(n):
                 if pos >= m:
                     raise err("CELLS section shorter than declared")
-                cnt = int(raw[pos])
-                cells.append(raw[pos + 1:pos + 1 + cnt])
-                pos += 1 + cnt
+                starts.append(pos)
+                pos += 1 + int(raw[pos])
             if pos != m:
                 raise err("CELLS section longer than declared")
+            is_index = np.ones(m, dtype=bool)
+            is_index[starts] = False
+            bad = np.flatnonzero(is_index & ((raw < 0) | (raw >= len(points))))
+            if len(bad):
+                raise err(f"vertex index {raw[bad[0]]} out of range "
+                          f"(file has {len(points)} points)", first + bad[0])
+            cells, cell_sizes = raw[is_index], raw[starts]
         elif kw == "CELL_TYPES":
+            if cells is None:
+                raise err("CELL_TYPES before CELLS")
             n = ts.next_int()
+            if n != len(cell_sizes):
+                raise err(f"CELL_TYPES declares {n} cells, CELLS "
+                          f"{len(cell_sizes)}", ts.pos - 1)
             cell_types = ts.take(n, np.int64)
+            bad = np.flatnonzero(cell_types != _VTK_TET)
+            if len(bad):
+                raise err(f"unsupported cell type {cell_types[bad[0]]} (only "
+                          f"tetrahedra, type {_VTK_TET})", ts.pos - n + bad[0])
+            bad = np.flatnonzero(cell_sizes != 4)
+            if len(bad):
+                raise err(f"tetrahedral cell with {cell_sizes[bad[0]]} vertices",
+                          first + starts[bad[0]])
         elif kw == "CELL_DATA":
             association = "cell"
             assoc_n = ts.next_int()
@@ -304,17 +325,11 @@ def read_mesh(path, format: str | None = None) -> TetMesh:
             raise ParseError(f"cannot infer format from extension '{ext}'", path)
     if format == "vtk_legacy":
         points, cells, cell_types, _, _ = _parse_vtk(path)
-        if points is None or cells is None or cell_types is None:
+        if cell_types is None:
             raise ParseError("file lacks POINTS, CELLS or CELL_TYPES", path)
-        if len(cells) == 0:
+        if len(cell_types) == 0:
             raise ParseError("empty mesh (no cells)", path)
-        bad = np.flatnonzero(cell_types != _VTK_TET)
-        if len(bad):
-            raise ParseError(f"unsupported cell type {int(cell_types[bad[0]])} "
-                             f"(only tetrahedra, type {_VTK_TET})", path)
-        tets = np.array([np.asarray(c) for c in cells], dtype=np.int64)
-        if tets.shape[1] != 4:
-            raise ParseError("tetrahedral cell without 4 vertices", path)
+        tets = cells.reshape(-1, 4)
     elif format == "gmsh_msh":
         points, tets = _parse_msh(path)
     else:

@@ -34,10 +34,9 @@ def test_grad_gram_row_sums_vanish(torus_coarse):
 def test_symmetry_exact(torus_coarse):
     tables, dof_edge, dof_face = h.build_element_tables(torus_coarse)
     for dofmap in (dof_edge, dof_face):
-        for constrained in (False, True):
-            A = h.assemble_gram(torus_coarse, tables, dofmap, constrained)
-            diff = (A.csr - A.csr.T).tocoo()
-            assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+        A = h.assemble_gram(torus_coarse, tables, dofmap)
+        diff = (A.csr - A.csr.T).tocoo()
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
 def test_positive_semidefinite(ball_coarse):
@@ -51,24 +50,32 @@ def test_positive_semidefinite(ball_coarse):
             assert x @ A.matvec(x) >= -1e-10 * (x @ x) * bound
 
 
-def test_constrained_single_tet_identity(ref_tet):
-    tables, dof_edge, dof_face = h.build_element_tables(ref_tet)
-    Ae = h.assemble_gram(ref_tet, tables, dof_edge, constrained=True)
-    Af = h.assemble_gram(ref_tet, tables, dof_face, constrained=True)
-    np.testing.assert_allclose(Ae.toarray(), np.eye(6), atol=0.0)
-    np.testing.assert_allclose(Af.toarray(), np.eye(4), atol=0.0)
-
-
-def test_constrained_is_interior_restriction(two_tet):
-    tables, dof_edge, dof_face = h.build_element_tables(two_tet)
-    for dofmap in (dof_edge, dof_face):
-        A = h.assemble_gram(two_tet, tables, dofmap).toarray()
-        Ac = h.assemble_gram(two_tet, tables, dofmap, constrained=True).toarray()
+def test_constrained_is_interior_restriction(torus_engine):
+    # the engine's constrained system is the interior block of the Gram
+    mesh = torus_engine.mesh
+    tables, dof_edge, dof_face = h.build_element_tables(mesh)
+    for space, dofmap in (("curl", dof_edge), ("grad", dof_face)):
+        A = h.assemble_gram(mesh, tables, dofmap).csr
+        Ac = torus_engine._gram(space, True)[0].csr
         i = dofmap.interior_mask
-        np.testing.assert_allclose(Ac[np.ix_(i, i)], A[np.ix_(i, i)], atol=0.0)
-        np.testing.assert_allclose(Ac[np.ix_(~i, ~i)],
-                                   np.eye(int((~i).sum())), atol=0.0)
-        assert np.abs(Ac[np.ix_(i, ~i)]).max(initial=0.0) == 0.0
+        assert Ac.shape == (int(i.sum()),) * 2
+        assert (Ac != A[i][:, i]).nnz == 0
+
+
+def test_engine_assembles_each_space_once(ball_tiny, monkeypatch):
+    calls = []
+    assemble = h.hodge.assemble_gram
+
+    def counted(mesh, tables, dofmap):
+        calls.append(dofmap.kind)
+        return assemble(mesh, tables, dofmap)
+
+    monkeypatch.setattr(h.hodge, "assemble_gram", counted)
+    engine = h.HodgeDecomposer(ball_tiny)
+    for space in ("curl", "grad"):
+        for constrained in (True, False, True):
+            engine._gram(space, constrained)
+    assert sorted(calls) == ["edge_based", "face_based"]
 
 
 def test_rhs_zero_field(two_tet):
@@ -122,14 +129,6 @@ def test_curl_rhs_consistent_with_gradient_kernel(torus_coarse):
              - (torus_coarse.edges[:, 0] == k).astype(float))
         overlap = abs(b @ c) / (np.linalg.norm(b) * np.linalg.norm(c))
         assert overlap <= 1e-12
-
-
-def test_constrained_rhs_zeroed(two_tet):
-    tables, _, dof_face = h.build_element_tables(two_tet)
-    X = h.random_field(two_tet, seed=1)
-    b = h.assemble_rhs(X, tables, dof_face, constrained=True)
-    assert (b[~dof_face.interior_mask] == 0.0).all()
-    assert (b[dof_face.interior_mask] != 0.0).any()
 
 
 def test_gram_matches_direct_integration(two_tet, ref_tet):

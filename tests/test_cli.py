@@ -45,7 +45,7 @@ def test_decompose_with_noise_deterministic(tmp_path):
         (out2 / "report.json").read_bytes()
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     assert main(["decompose", "--domain", "ball", "--h", "0.5"]) == 1
     assert main(["decompose", "--domain", "ball", "--h", "0.5",
                  "--field", "X9"]) == 1
@@ -59,6 +59,28 @@ def test_exit_codes():
     # starved solver reports non-convergence
     assert main(["decompose", "--domain", "ball", "--h", "0.4",
                  "--field", "X0", "--scheme", "fd", "--max-iter", "1"]) == 2
+    # solver tolerance, noise factor and probe count are checked before
+    # any solve
+    for flag, value in (("--tol", "0"), ("--tol", "-1"), ("--rho", "nan")):
+        assert main(["decompose", "--domain", "ball", "--h", "0.4",
+                     "--field", "X0", flag, value]) == 1
+    assert main(["dims", "--domain", "ball", "--h", "0.4",
+                 "--probes", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "--tol must be > 0" in err
+    assert "--rho must be >= 0" in err
+    assert "--probes 2 is below the required minimum 5" in err
+
+
+def test_unknown_output_format(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["decompose", "--domain", "ball", "--h", "0.5",
+                 "--field", "X0", "--formats", "xml", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown output format 'xml'" in err
+    assert "vtk, json" in err
+    assert not out.exists()
 
 
 def test_validate_coarse(tmp_path, capsys):

@@ -42,6 +42,36 @@ def test_read_rejects_hexahedra(tmp_path):
         h.read_mesh(p)
 
 
+FIFTH_POINT = "0.0 0.0 1.0\n1.0 1.0 1.0\n"
+
+
+@pytest.mark.parametrize("replacements, line, message", [
+    # a ragged row next to a tet row, both typed as tets
+    ((("CELLS 1 5\n4 0 1 2 3", "CELLS 2 9\n4 0 1 2 3\n3 1 2 3"),
+      ("CELL_TYPES 1\n10", "CELL_TYPES 2\n10\n10")),
+     12, "tetrahedral cell with 3 vertices"),
+    ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
+      ("4 0 1 2 3", "4 0 1 2 7")), 12, "vertex index 7 out of range"),
+    ((("4 0 1 2 3", "4 0 1 2 -1"),), 11, "vertex index -1 out of range"),
+    # two cells, one declared type
+    ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
+      ("CELLS 1 5\n4 0 1 2 3", "CELLS 2 10\n4 0 1 2 3\n4 1 2 3 4")),
+     14, "CELL_TYPES declares 1 cells, CELLS 2"),
+], ids=["ragged_row", "index_past_points", "negative_index",
+        "cell_types_count"])
+def test_read_rejects_malformed_cells(tmp_path, replacements, line, message):
+    text = GOLDEN_TET
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    p = tmp_path / "bad.vtk"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        h.read_mesh(p)
+    assert exc.value.path == str(p)
+    assert exc.value.line == line
+
+
 def test_read_rejects_binary_and_garbage(tmp_path):
     p = tmp_path / "b.vtk"
     p.write_text(GOLDEN_TET.replace("ASCII", "BINARY"))
