@@ -3,18 +3,22 @@
 Subcommands wire domains, fields, schemes, and outputs into reproducible
 runs: `decompose` for a single field, `validate` for the built-in
 analytic-field suite, `dims` for harmonic-space dimensions vs. topology,
-and `sweep` for resolution or noise studies. Exit codes: 0 success,
-1 input error, 2 solver non-convergence. All randomness flows through
-explicit --seed flags; HODGE3D_THREADS caps sweep workers.
+and `sweep` for resolution or noise studies. Each handler runs on the
+parsed arguments. `_check` applies every flag rule that needs no mesh
+before a mesh is built; generate_voxel_domain checks --h and the domain
+parameters, and `dims` checks --probes against the mesh's topology. Exit
+codes: 0 success, 1 input error (a bad flag value included), 2 solver
+non-convergence. All randomness flows through explicit --seed flags;
+HODGE3D_THREADS caps sweep workers.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
 
 from ._version import __version__
 from .errors import ConvergenceError, Hodge3dError
@@ -25,62 +29,17 @@ from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
 from .io import make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["main"]
 
 
 class _UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Everything one reproducible run needs."""
-
-    subcommand: str
-    mesh_path: str | None = None
-    domain: str | None = None
-    h: float | None = None
-    domain_params: dict = field(default_factory=dict)
-    field_source: str | None = None      # analytic name or "file:<path>"
-    resample: str | None = None
-    scheme: str = "FULL"
-    rho: float = 0.0
-    seed: int = 0
-    out_dir: str | None = None
-    formats: tuple = ("vtk", "json")
-    tol: float = 1e-12
-    max_iter: int | None = None
-    probes: int | None = None
-    which: tuple = ("neumann", "dirichlet")
-    h_levels: tuple = ()
-    rho_levels: tuple = ()
-    h_ball: float = 0.1
-    h_cavity: float = 0.15
-    h_torus: float = 0.15
-
-    def check(self):
-        if self.subcommand in ("decompose", "sweep", "dims"):
-            if (self.mesh_path is None) == (self.domain is None):
-                raise _UsageError("exactly one of --mesh and --domain is required")
-            if self.domain is not None and self.h is None and not self.h_levels:
-                raise _UsageError("--domain requires --h")
-        if self.subcommand in ("decompose", "sweep"):
-            if self.field_source is None:
-                raise _UsageError("--field is required")
-        if not self.rho >= 0:
-            raise _UsageError("--rho must be >= 0")
-        if not self.tol > 0:
-            raise _UsageError("--tol must be > 0")
-        unknown = sorted(set(self.formats) - {"vtk", "json"})
-        if unknown:
-            raise _UsageError(f"unknown output format '{unknown[0]}' "
-                              "(choose from vtk, json)")
-
-
-def _build_mesh(cfg: RunConfig):
-    if cfg.mesh_path is not None:
-        return read_mesh(cfg.mesh_path)
-    return generate_voxel_domain(cfg.domain, cfg.h, **cfg.domain_params)
+def _build_mesh(ns):
+    if ns.mesh is not None:
+        return read_mesh(ns.mesh)
+    return generate_voxel_domain(ns.domain, ns.h, **_domain_params(ns))
 
 
 def _transfer_field(src: Pcvf, dst_mesh) -> Pcvf:
@@ -92,16 +51,16 @@ def _transfer_field(src: Pcvf, dst_mesh) -> Pcvf:
     return Pcvf(dst_mesh, src.vectors[idx])
 
 
-def _build_field(cfg: RunConfig, mesh) -> Pcvf:
-    src = cfg.field_source
+def _build_field(ns, mesh) -> Pcvf:
+    src = ns.field
     if src.startswith("file:"):
         path = src[5:]
-        if cfg.mesh_path is not None and os.path.abspath(path) == \
-                os.path.abspath(cfg.mesh_path):
-            X = read_field(path, mesh, resample=cfg.resample)
+        if ns.mesh is not None and os.path.abspath(path) == \
+                os.path.abspath(ns.mesh):
+            X = read_field(path, mesh, resample=ns.resample)
         else:
             src_mesh = read_mesh(path)
-            X = read_field(path, src_mesh, resample=cfg.resample)
+            X = read_field(path, src_mesh, resample=ns.resample)
             if src_mesh.n_t == mesh.n_t and src_mesh.n_v == mesh.n_v:
                 X = Pcvf(mesh, X.vectors)
             else:
@@ -111,30 +70,30 @@ def _build_field(cfg: RunConfig, mesh) -> Pcvf:
     else:
         raise _UsageError(f"unknown field '{src}' (analytic fields: "
                           f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
-    if cfg.rho > 0:
-        X = add_noise(X, cfg.rho, cfg.seed)
+    if ns.rho > 0:
+        X = add_noise(X, ns.rho, ns.seed)
     return X
 
 
-def _extra_report_entries(cfg: RunConfig) -> dict:
-    mesh_src = cfg.mesh_path if cfg.mesh_path is not None else \
-        f"{cfg.domain};h={cfg.h};{sorted(cfg.domain_params.items())}"
+def _extra_report_entries(ns) -> dict:
+    mesh_src = ns.mesh if ns.mesh is not None else \
+        f"{ns.domain};h={ns.h};{sorted(_domain_params(ns).items())}"
     return {
-        "inputs": {"mesh": mesh_src, "field": cfg.field_source,
-                   "rho": cfg.rho, "seed": cfg.seed},
-        "tolerances": {"tol": cfg.tol, "max_iter": cfg.max_iter},
+        "inputs": {"mesh": mesh_src, "field": ns.field,
+                   "rho": ns.rho, "seed": ns.seed},
+        "tolerances": {"tol": ns.tol, "max_iter": ns.max_iter},
     }
 
 
-def _decompose_core(cfg: RunConfig):
-    mesh = _build_mesh(cfg)
-    X = _build_field(cfg, mesh)
-    engine = HodgeDecomposer(mesh, tol=cfg.tol, max_iter=cfg.max_iter)
-    result = engine.decompose(X, cfg.scheme)
+def _decompose_core(ns):
+    mesh = _build_mesh(ns)
+    X = _build_field(ns, mesh)
+    engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
+    result = engine.decompose(X, ns.scheme)
     paths = []
-    if cfg.out_dir:
-        paths = write_outputs(result, cfg.out_dir, cfg.formats,
-                              extra=_extra_report_entries(cfg))
+    if ns.out:
+        paths = write_outputs(result, ns.out, ns.formats,
+                              extra=_extra_report_entries(ns))
     return result, paths
 
 
@@ -148,8 +107,8 @@ def _print_result(result):
               f"({100 * fractions[name]:6.2f}%){flag}")
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    result, paths = _decompose_core(cfg)
+def _cmd_decompose(ns) -> int:
+    result, paths = _decompose_core(ns)
     _print_result(result)
     for p in paths:
         print(f"wrote {p}")
@@ -162,9 +121,9 @@ _VALIDATE_CASES = (
 )
 
 
-def _cmd_validate(cfg: RunConfig) -> int:
-    h_of = {"ball": cfg.h_ball, "ball_with_cavity": cfg.h_cavity,
-            "solid_torus": cfg.h_torus}
+def _cmd_validate(ns) -> int:
+    h_of = {"ball": ns.h_ball, "ball_with_cavity": ns.h_cavity,
+            "solid_torus": ns.h_torus}
     engines = {}
     rows = []
     cases_out = []
@@ -172,8 +131,8 @@ def _cmd_validate(cfg: RunConfig) -> int:
     for fname, dom in _VALIDATE_CASES:
         if dom not in engines:
             mesh = generate_voxel_domain(dom, h_of[dom])
-            engines[dom] = HodgeDecomposer(mesh, tol=cfg.tol,
-                                           max_iter=cfg.max_iter)
+            engines[dom] = HodgeDecomposer(mesh, tol=ns.tol,
+                                           max_iter=ns.max_iter)
         engine = engines[dom]
         X = sample_analytic(engine.mesh, fname)
         result = engine.decompose(X, "FULL")
@@ -201,9 +160,9 @@ def _cmd_validate(cfg: RunConfig) -> int:
             print(f"FAILED {case['field']} on {case['domain']}: {bad}",
                   file=sys.stderr)
 
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "validate_report.json")
+    if ns.out:
+        os.makedirs(ns.out, exist_ok=True)
+        path = os.path.join(ns.out, "validate_report.json")
         with open(path, "w", newline="\n") as f:
             json.dump({"tool": {"name": "hodge3d", "version": __version__},
                        "passed": all_passed, "cases": cases_out}, f, indent=2)
@@ -213,32 +172,33 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_dims(cfg: RunConfig) -> int:
-    mesh = _build_mesh(cfg)
-    expected = {which: _expected_dimension(mesh, which) for which in cfg.which}
+def _cmd_dims(ns) -> int:
+    mesh = _build_mesh(ns)
+    expected = {which: _expected_dimension(mesh, which) for which in ns.which}
     need = max(expected.values(), default=0) + _SPARE_PROBES
-    if cfg.probes is not None and cfg.probes < need:
-        raise _UsageError(f"--probes {cfg.probes} is below the required "
+    if ns.probes is not None and ns.probes < need:
+        raise _UsageError(f"--probes {ns.probes} is below the required "
                           f"minimum {need}")
     ok = True
     print(f"betti numbers: {tuple(betti_numbers(mesh))}")
-    for which in cfg.which:
-        est = estimate_harmonic_dimension(mesh, which, probes=cfg.probes,
-                                          seed=cfg.seed, tol=cfg.tol,
-                                          max_iter=cfg.max_iter)
+    for which in ns.which:
+        est = estimate_harmonic_dimension(mesh, which, probes=ns.probes,
+                                          seed=ns.seed, tol=ns.tol,
+                                          max_iter=ns.max_iter)
         print(f"{which}: {est} (expected {expected[which]})")
         ok &= est == expected[which]
     return 0 if ok else 1
 
 
 def _sweep_level(args):
-    cfg, kind, value = args
+    ns, kind, value = args
     label = f"{kind}_{value:g}"
-    # kind names the swept RunConfig field: "h" or "rho"
-    level_cfg = replace(cfg, subcommand="decompose",
-                        out_dir=os.path.join(cfg.out_dir, label)
-                        if cfg.out_dir else None, **{kind: float(value)})
-    result, _ = _decompose_core(level_cfg)
+    # kind names the swept flag, "h" or "rho"; a rho sweep runs at its
+    # single --h (None with --mesh)
+    level = argparse.Namespace(**{
+        **vars(ns), "h": ns.h[0] if ns.h else None, kind: float(value),
+        "out": os.path.join(ns.out, label) if ns.out else None})
+    result, _ = _decompose_core(level)
     row = {"kind": kind, "level": value,
            "n_t": result.input.mesh.n_t,
            "input_sq_norm": result.input_sq_norm}
@@ -249,17 +209,12 @@ def _sweep_level(args):
     return label, row
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.h_levels and cfg.rho_levels:
-        raise _UsageError("sweep over either --h levels or --rho levels, not both")
-    if cfg.h_levels:
-        if cfg.domain is None:
-            raise _UsageError("a resolution sweep requires --domain")
-        levels = [(cfg, "h", v) for v in cfg.h_levels]
-    elif cfg.rho_levels:
-        levels = [(cfg, "rho", v) for v in cfg.rho_levels]
+def _cmd_sweep(ns) -> int:
+    # --h doubles as the level list for resolution sweeps
+    if ns.rho_levels:
+        levels = [(ns, "rho", v) for v in ns.rho_levels]
     else:
-        raise _UsageError("sweep needs --h or --rho with at least one level")
+        levels = [(ns, "h", v) for v in ns.h]
 
     threads = os.environ.get("HODGE3D_THREADS", "1") or "1"
     try:
@@ -274,16 +229,16 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     else:
         outcomes = [_sweep_level(lv) for lv in levels]
 
-    comp_names = SCHEME_COMPONENTS[cfg.scheme.upper()]
+    comp_names = SCHEME_COMPONENTS[ns.scheme.upper()]
     fieldnames = ["kind", "level", "n_t", "input_sq_norm"]
     for name in comp_names:
         fieldnames += [f"{name}_sq_norm", f"{name}_fraction"]
     for label, row in outcomes:
         print(f"{label}: " + " ".join(
             f"{name}={row[f'{name}_fraction']:.4f}" for name in comp_names))
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        path = os.path.join(cfg.out_dir, "summary.csv")
+    if ns.out:
+        os.makedirs(ns.out, exist_ok=True)
+        path = os.path.join(ns.out, "summary.csv")
         with open(path, "w", newline="\n") as f:
             writer = csv.DictWriter(f, fieldnames=fieldnames)
             writer.writeheader()
@@ -294,19 +249,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured run; returns the process exit code."""
-    config.check()
-    handler = {"decompose": _cmd_decompose, "validate": _cmd_validate,
-               "dims": _cmd_dims, "sweep": _cmd_sweep}.get(config.subcommand)
-    if handler is None:
-        raise _UsageError(f"unknown subcommand '{config.subcommand}'")
-    return handler(config)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _str_list(text: str) -> tuple:
+    return tuple(v for v in text.split(",") if v)
 
 
 def _float_list(text: str) -> tuple:
@@ -379,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     _add_scheme_arg(p, default="full")
     p.add_argument("--out", help="output directory for VTK + report")
-    p.add_argument("--formats", default="vtk,json",
+    p.add_argument("--formats", type=_str_list, default="vtk,json",
                    help="comma list from vtk,json (default both)")
     _add_solver_args(p)
+    p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("validate", help="run the built-in analytic-field suite")
     p.add_argument("--h-ball", type=float, default=0.1)
@@ -389,14 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h-torus", type=float, default=0.15)
     p.add_argument("--out", help="directory for validate_report.json")
     _add_solver_args(p)
+    p.set_defaults(handler=_cmd_validate)
 
     p = sub.add_parser("dims", help="estimate harmonic dimensions vs. topology")
     _add_mesh_args(p)
-    p.add_argument("--which", default="neumann,dirichlet",
+    p.add_argument("--which", type=_str_list, default="neumann,dirichlet",
                    help="comma list from neumann,dirichlet,central")
     p.add_argument("--probes", type=int, default=None)
     p.add_argument("--seed", type=int, default=2024)
     _add_solver_args(p)
+    p.set_defaults(handler=_cmd_dims)
 
     p = sub.add_parser("sweep", help="repeat decompose over h or rho levels")
     _add_mesh_args(p, h_list=True)
@@ -405,55 +357,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-levels", type=_float_list, default=())
     p.add_argument("--out", help="output directory (per-level dirs + CSV)")
     _add_solver_args(p)
+    p.set_defaults(handler=_cmd_sweep, formats=("vtk", "json"))
 
     return parser
 
 
-def _config_from_args(ns) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    if hasattr(ns, "mesh"):
-        cfg.mesh_path = ns.mesh
-        cfg.domain = ns.domain
-        if not isinstance(getattr(ns, "h", None), tuple):
-            cfg.h = ns.h
-        cfg.domain_params = _domain_params(ns)
-    if hasattr(ns, "field"):
-        cfg.field_source = ns.field
-        cfg.resample = ns.resample
-        cfg.rho = ns.rho
-        cfg.seed = ns.seed
-    if hasattr(ns, "scheme"):
-        cfg.scheme = ns.scheme.upper()
-    if hasattr(ns, "out"):
-        cfg.out_dir = ns.out
-    if hasattr(ns, "formats"):
-        cfg.formats = tuple(v for v in ns.formats.split(",") if v)
-    if hasattr(ns, "tol"):
-        cfg.tol = ns.tol
-        cfg.max_iter = ns.max_iter
-    if hasattr(ns, "probes"):
-        cfg.probes = ns.probes
-        cfg.seed = ns.seed
-        cfg.which = tuple(v for v in ns.which.split(",") if v)
-        for which in cfg.which:
-            if which not in _DIMENSION_SOURCES:
-                raise _UsageError(f"unknown subspace '{which}' (choose from "
-                                  f"{', '.join(sorted(_DIMENSION_SOURCES))})")
-    if ns.subcommand == "validate":
-        cfg.h_ball = ns.h_ball
-        cfg.h_cavity = ns.h_cavity
-        cfg.h_torus = ns.h_torus
+def _require(flag, value, low, strict=False):
+    """Reject a value below `low` (or equal to it, if strict), NaN and inf."""
+    if not (value > low if strict else value >= low):
+        raise _UsageError(f"{flag} must be {'>' if strict else '>='} {low}")
+    if value == math.inf:
+        raise _UsageError(f"{flag} must be finite")
+
+
+def _check(ns):
+    """Apply every flag rule that needs no mesh; raises _UsageError."""
+    if ns.subcommand != "validate":
+        if (ns.mesh is None) == (ns.domain is None):
+            raise _UsageError("exactly one of --mesh and --domain is required")
+        if ns.domain is not None and ns.h in (None, ()):
+            raise _UsageError("--domain requires --h")
+        _require("--seed", ns.seed, 0)
+    if ns.subcommand in ("decompose", "sweep"):
+        if ns.field is None:
+            raise _UsageError("--field is required")
+        for flag, rho in [("--rho", ns.rho)] + [
+                ("--rho-levels", v) for v in getattr(ns, "rho_levels", ())]:
+            _require(flag, rho, 0)
+    _require("--tol", ns.tol, 0, strict=True)
+    if ns.max_iter is not None:
+        _require("--max-iter", ns.max_iter, 1)
+    unknown = sorted(set(getattr(ns, "formats", ())) - {"vtk", "json"})
+    if unknown:
+        raise _UsageError(f"unknown output format '{unknown[0]}' "
+                          "(choose from vtk, json)")
+    for which in getattr(ns, "which", ()):
+        if which not in _DIMENSION_SOURCES:
+            raise _UsageError(f"unknown subspace '{which}' (choose from "
+                              f"{', '.join(sorted(_DIMENSION_SOURCES))})")
     if ns.subcommand == "sweep":
-        # --h doubles as the level list for resolution sweeps
-        cfg.rho_levels = ns.rho_levels
-        if ns.h:
-            if cfg.rho_levels:
-                if len(ns.h) > 1:
-                    raise _UsageError("a rho sweep needs a single --h")
-                cfg.h = ns.h[0]
-            else:
-                cfg.h_levels = ns.h
-    return cfg
+        if ns.rho_levels:
+            if ns.h and len(ns.h) > 1:
+                raise _UsageError("a rho sweep needs a single --h")
+        elif not ns.h:
+            raise _UsageError("sweep needs --h or --rho with at least one level")
+        elif ns.domain is None:
+            raise _UsageError("a resolution sweep requires --domain")
 
 
 def main(argv=None) -> int:
@@ -463,7 +412,8 @@ def main(argv=None) -> int:
         if ns.subcommand is None:
             parser.print_help()
             return 1
-        return run(_config_from_args(ns))
+        _check(ns)
+        return ns.handler(ns)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

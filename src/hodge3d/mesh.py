@@ -508,11 +508,14 @@ def generate_voxel_domain(domain: str, h: float, fit: str = "surface",
 
     Raises
     ------
+    MeshError
+        If h is not positive, or a domain parameter is unknown, out of
+        range or not finite.
     TopologyError
         If the voxelization is empty or its Betti numbers do not match the
         declared topology of the domain (h too coarse).
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise MeshError("voxel size h must be positive")
     if fit not in _FITS:
         raise MeshError(f"unknown fit '{fit}' (choose from {list(_FITS)})")
@@ -520,6 +523,8 @@ def generate_voxel_domain(domain: str, h: float, fit: str = "surface",
     indicator, half_extent, closest = _domain_shape(domain, params)
     if params:
         raise MeshError(f"unknown parameters for domain '{domain}': {sorted(params)}")
+    if not np.isfinite(half_extent).all():
+        raise MeshError(f"the size parameters of domain '{domain}' must be finite")
 
     lo = [int(np.floor(-ext / h)) - 1 for ext in half_extent]
     hi = [int(np.ceil(ext / h)) + 1 for ext in half_extent]

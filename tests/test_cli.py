@@ -71,6 +71,25 @@ def test_exit_codes(capsys):
     assert "--tol must be > 0" in err
     assert "--rho must be >= 0" in err
     assert "--probes 2 is below the required minimum 5" in err
+    # every other out-of-range or non-finite flag value is an input error
+    # too, caught before any solve
+    ball = ["decompose", "--domain", "ball", "--h", "0.5", "--field", "X0"]
+    for argv, message in (
+            (ball + ["--max-iter", "0"], "--max-iter must be >= 1"),
+            (ball + ["--max-iter", "-1"], "--max-iter must be >= 1"),
+            (ball + ["--rho", "inf"], "--rho must be finite"),
+            (ball + ["--tol", "inf"], "--tol must be finite"),
+            (ball + ["--rho", "0.1", "--seed", "-1"], "--seed must be >= 0"),
+            (["dims", "--domain", "ball", "--h", "0.5", "--seed", "-1"],
+             "--seed must be >= 0"),
+            (["sweep", "--domain", "ball", "--h", "0.5", "--field", "X0",
+              "--rho-levels=-1,nan"], "--rho-levels must be >= 0"),
+            (["decompose", "--domain", "ball", "--h", "nan", "--field", "X0"],
+             "voxel size h must be positive"),
+            (["validate", "--h-ball", "nan"], "voxel size h must be positive")):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", argv
 
 
 def test_unknown_output_format(tmp_path, capsys):

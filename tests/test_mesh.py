@@ -258,6 +258,13 @@ def test_domain_parameter_validation():
         h.generate_voxel_domain("box", 0.3, extents=(1.0, 2.0))
     with pytest.raises(MeshError, match="fit"):
         h.generate_voxel_domain("ball", 0.5, fit="snap")
+    # NaN fails every comparison, so it must not slip past the checks
+    with pytest.raises(MeshError):
+        h.generate_voxel_domain("ball", float("nan"))
+    with pytest.raises(MeshError):
+        h.generate_voxel_domain("ball", 0.5, radius=float("nan"))
+    with pytest.raises(MeshError):
+        h.generate_voxel_domain("cylinder", 0.5, height=float("nan"))
 
 
 def test_euler_characteristic_consistency(ball_coarse, torus_coarse,
