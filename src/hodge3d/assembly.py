@@ -58,8 +58,9 @@ def assemble_gram(mesh: TetMesh, tables: ElementTables,
                   dofmap: DofMap) -> SparseSymMatrix:
     """Gram matrix of the derivative basis: A_ij = sum_t vol(t) <d_i, d_j>."""
     table = _table_for(tables, dofmap)
-    dofs = dofmap.tet_to_dof
     n = dofmap.n_dofs
+    # COO indices in the dtype scipy keeps, so it makes no converted copies
+    dofs = dofmap.tet_to_dof.astype(np.int32 if n < 2**31 else np.int64)
 
     acc = sp.csr_matrix((n, n))
     for start in range(0, mesh.n_t, _CHUNK):

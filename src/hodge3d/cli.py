@@ -262,8 +262,9 @@ def _float_list(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(",") if v)
     except ValueError:
-        raise _UsageError(f"expected comma-separated numbers, got '{text}'") \
-            from None
+        # argparse shows this message; it replaces a ValueError's with its own
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got '{text}'") from None
 
 
 def _add_mesh_args(p, h_list=False):
@@ -403,6 +404,9 @@ def _check(ns):
             raise _UsageError("sweep needs --h or --rho with at least one level")
         elif ns.domain is None:
             raise _UsageError("a resolution sweep requires --domain")
+        # every level, before the first one runs and writes its outputs
+        if not all(h > 0 for h in ns.h or ()):
+            raise _UsageError("voxel size h must be positive")
 
 
 def main(argv=None) -> int:

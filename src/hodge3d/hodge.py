@@ -27,7 +27,7 @@ from .fem import build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
 from .mesh import (_LOCAL_EDGES, TetMesh, _boundary_surfaces,
                    _interior_face_tets, _solid_components, betti_numbers)
-from .solver import solve_spsd
+from .solver import auxiliary_space_cycle, solve_spsd
 
 __all__ = [
     "ZERO_THRESHOLD",
@@ -157,6 +157,28 @@ def _stage(space: str, constrained: bool) -> str:
     return f"{space}_{'constrained' if constrained else 'unconstrained'}"
 
 
+def _smoothing_bound(tables) -> float:
+    """An upper bound on lambda_max(D^-1 A) for the face Gram A, the P1
+    Laplacian P^T A P, and their interior blocks.
+
+    Each of them sums, over the tets, a multiple of the 4x4 Gram K_t of
+    the tet's hat-function gradients, and its diagonal D sums theirs, so
+    lambda_max(D^-1 A) <= max_t lambda_max(D_t^-1 K_t); an interior block
+    is a principal block and has no larger one. That local value is the
+    largest eigenvalue of S_t, the sum of u u^T over the tet's four unit
+    gradient directions u. S_t is 3x3 with trace 4, so the Laguerre-
+    Samuelson inequality bounds it by 4/3 + sqrt(2 (tr(S_t^2) / 3 - 16/9)).
+    """
+    sq = 0.0
+    # in chunks of tets, so that the temporaries stay small
+    for start in range(0, len(tables.cr_gradients), 4096):
+        g = tables.cr_gradients[start:start + 4096]
+        u = g / np.linalg.norm(g, axis=2, keepdims=True)
+        S = np.einsum("tkd,tke->tde", u, u)
+        sq = max(sq, float(np.einsum("tde,tde->t", S, S).max()))
+    return 4.0 / 3.0 + np.sqrt(2.0 * max(sq / 3.0 - 16.0 / 9.0, 0.0))
+
+
 def _normalize_scheme(scheme: str) -> str:
     s = scheme.upper()
     if s not in SCHEMES:
@@ -169,8 +191,9 @@ class HodgeDecomposer:
 
     Builds the element tables once and caches across projections one Gram
     matrix per space (curl/gradient basis), its interior block as the
-    boundary-constrained system, and the two harmonic bases, so repeated
-    decompositions on the same mesh only pay for the solves.
+    boundary-constrained system, the multilevel cycle of each face system,
+    and the two harmonic bases, so repeated decompositions on the same
+    mesh only pay for the solves.
     """
 
     def __init__(self, mesh: TetMesh, tol: float = 1e-12,
@@ -180,6 +203,8 @@ class HodgeDecomposer:
         self.max_iter = max_iter
         self.tables, self._dof_edge, self._dof_face = build_element_tables(mesh)
         self._grams = {}
+        self._cycles = {}
+        self._vertex_system = None
         self._bases = {}
 
     def _dofmap(self, space: str):
@@ -200,6 +225,35 @@ class HodgeDecomposer:
             self._grams[key] = (gram, peak)
         return self._grams[key]
 
+    def _cycle(self, constrained: bool):
+        """The auxiliary-space cycle that preconditions a face system.
+
+        Its vertex operator is the P1 Laplacian L = P^T A P of the
+        unconstrained face Gram A, with P the face-from-vertex averaging;
+        since P1_0 is a subspace of CR_0, the constrained system's vertex
+        operator is the interior-vertex block of that one L. P, L and the
+        smoothing bound are built once per engine.
+        """
+        if constrained not in self._cycles:
+            mesh = self.mesh
+            if self._vertex_system is None:
+                n_f = mesh.n_f
+                P = csr_matrix((np.full(3 * n_f, 1.0 / 3.0), mesh.faces.ravel(),
+                                np.arange(0, 3 * n_f + 1, 3)),
+                               shape=(n_f, mesh.n_v))
+                A = self._gram("grad", False)[0].csr
+                self._vertex_system = (P, (P.T @ (A @ P)).tocsr(),
+                                       _smoothing_bound(self.tables))
+            P, L, bound = self._vertex_system
+            A = self._gram("grad", constrained)[0].csr
+            rows = cols = None
+            if constrained:
+                rows, cols = self._dof_face.interior_mask, ~mesh.boundary_vertex
+                L = L[cols][:, cols]
+            self._cycles[constrained] = auxiliary_space_cycle(
+                A, P, L, bound, rows, cols)
+        return self._cycles[constrained]
+
     def _project(self, X: Pcvf, space: str, constrained: bool,
                  prefix: str = ""):
         if X.mesh is not self.mesh:
@@ -212,9 +266,10 @@ class HodgeDecomposer:
         # rounding level of that scale means the projection is zero.
         atol = 1e-13 * np.sqrt(sq_norm(X) * peak_diag)
         free = dofmap.interior_mask if constrained else slice(None)
+        M = self._cycle(constrained) if space == "grad" else None
         coeff = np.zeros(dofmap.n_dofs)
         coeff[free], report = solve_spsd(gram, b[free], tol=self.tol,
-                                         max_iter=self.max_iter, atol=atol)
+                                         max_iter=self.max_iter, atol=atol, M=M)
         if not report.converged:
             raise ConvergenceError(stage, report)
         return reconstruct(self.mesh, self.tables, dofmap, coeff), report, stage

@@ -126,3 +126,15 @@ def write_gmsh41(path, mesh):
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines))
         f.write("\n")
+
+
+def disjoint_union(*meshes):
+    """The disjoint union of meshes, each shifted 4 units further along x."""
+    from hodge3d import build_complex
+
+    verts, tets, offset = [], [], 0
+    for i, m in enumerate(meshes):
+        verts.append(m.vertices + [4.0 * i, 0.0, 0.0])
+        tets.append(m.tets + offset)
+        offset += m.n_v
+    return build_complex(np.vstack(verts), np.vstack(tets))

@@ -196,6 +196,24 @@ def test_sweep_bad_thread_count(monkeypatch, capsys):
     assert err.startswith("error: ") and "HODGE3D_THREADS" in err
 
 
+def test_sweep_level_that_is_not_a_number(capsys):
+    assert main(["sweep", "--domain", "ball", "--h", "0.5,abc",
+                 "--field", "X0"]) == 1
+    assert capsys.readouterr().err == ("error: argument --h: expected "
+                                       "comma-separated numbers, got "
+                                       "'0.5,abc'\n")
+
+
+def test_sweep_bad_voxel_size_stops_before_any_level(tmp_path, capsys):
+    # the h=0.5 level would run and write d/h_0.5/ if the levels were
+    # checked one at a time
+    out = tmp_path / "d"
+    assert main(["sweep", "--domain", "ball", "--h", "0.5,nan",
+                 "--field", "X0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: voxel size h must be positive\n"
+    assert not out.exists()
+
+
 def test_sweep_file_field_transfer(tmp_path, ball_tiny):
     # a per-tet field written on one mesh drives a resolution sweep via
     # nearest-barycenter transfer

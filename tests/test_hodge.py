@@ -8,6 +8,8 @@ import hodge3d as h
 from hodge3d import hodge as hodge_module
 from hodge3d.errors import FieldError
 
+from oracles import disjoint_union
+
 
 def _unit(X):
     return h.Pcvf(X.mesh, X.vectors / np.sqrt(h.sq_norm(X)))
@@ -490,16 +492,6 @@ def test_basis_solve_failure_names_the_basis(torus_coarse, monkeypatch):
     assert exc.value.stage == "basis_dirichlet/grad_unconstrained"
 
 
-def _union(*meshes):
-    """The disjoint union of meshes, each shifted 4 units further along x."""
-    verts, tets, offset = [], [], 0
-    for i, m in enumerate(meshes):
-        verts.append(m.vertices + [4.0 * i, 0.0, 0.0])
-        tets.append(m.tets + offset)
-        offset += m.n_v
-    return h.build_complex(np.vstack(verts), np.vstack(tets))
-
-
 @pytest.mark.parametrize("case", ["disjoint_solids", "finer_torus"])
 def test_harmonic_bases_match_direct_chain(case):
     # two tori and a shelled ball (b0=3, b1=2, b2=1) need a cut per
@@ -509,7 +501,7 @@ def test_harmonic_bases_match_direct_chain(case):
         torus = h.generate_voxel_domain("solid_torus", 0.3)
         cavity = h.generate_voxel_domain("ball_with_cavity", 0.3,
                                          cavity_radius=0.5)
-        mesh, schemes = _union(torus, torus, cavity), h.SCHEMES
+        mesh, schemes = disjoint_union(torus, torus, cavity), h.SCHEMES
     else:
         mesh, schemes = h.generate_voxel_domain("solid_torus", 0.1), ("FD",)
     b = h.betti_numbers(mesh)
