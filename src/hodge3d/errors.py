@@ -25,8 +25,9 @@ class ParseError(Hodge3dError, ValueError):
     """A mesh or field file could not be parsed."""
 
     def __init__(self, message: str, path: str = "", line: int = 0):
-        loc = f"{path}:{line}: " if path else ""
-        super().__init__(f"{loc}{message}")
+        if path:
+            message = f"{path}:{line}: {message}" if line else f"{path}: {message}"
+        super().__init__(message)
         self.path = path
         self.line = line
 

@@ -7,8 +7,10 @@ floats are written with shortest round-trip repr.
 """
 
 import hashlib
+import itertools
 import json
 import os
+import re
 
 import numpy as np
 
@@ -27,24 +29,31 @@ _VTK_TET = 10
 
 
 class _Tokens:
-    """Whitespace token stream that remembers line numbers for errors."""
+    """Whitespace token stream over `text`, which follows `skipped` header
+    lines of the file. Line numbers (counted as str.splitlines counts
+    lines) are worked out only when an error is raised."""
 
-    def __init__(self, text: str, path: str):
-        self.path = path
-        self.toks = []
-        self.lines = []
-        for ln, line in enumerate(text.splitlines(), 1):
-            for tok in line.split():
-                self.toks.append(tok)
-                self.lines.append(ln)
+    def __init__(self, text: str, path: str, skipped: int = 0):
+        self.text, self.path, self.skipped = text, path, skipped
+        self.toks = text.split()
         self.pos = 0
 
     def done(self) -> bool:
         return self.pos >= len(self.toks)
 
-    def line(self) -> int:
-        i = min(self.pos, len(self.lines) - 1)
-        return self.lines[i] if self.lines else 0
+    def line(self, i: int | None = None) -> int:
+        """Line within `text` of token i (default: the next one, or the
+        last one at the end); 0 if there are no tokens."""
+        if not self.toks:
+            return 0
+        i = min(self.pos if i is None else int(i), len(self.toks) - 1)
+        start = next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start()
+        # the "x" stands for the token, so a token that starts a line counts it
+        return len((self.text[:start] + "x").splitlines())
+
+    def error(self, msg: str, i: int | None = None) -> ParseError:
+        """A ParseError at the file line of token i (default as in line())."""
+        return ParseError(msg, self.path, self.line(i) + self.skipped)
 
     def next(self) -> str:
         if self.done():
@@ -64,17 +73,30 @@ class _Tokens:
             raise ParseError(f"expected integer, got '{tok}'",
                              self.path, self.line()) from None
 
+    def next_count(self) -> int:
+        """The next integer, which must not be negative: a negative count
+        would move the cursor backwards."""
+        n = self.next_int()
+        if n < 0:
+            raise self.error(f"negative count {n}", self.pos - 1)
+        return n
+
     def take(self, n: int, dtype) -> np.ndarray:
         if self.pos + n > len(self.toks):
             raise ParseError(f"expected {n} more values, file ended",
                              self.path, self.line())
         try:
             out = np.array(self.toks[self.pos:self.pos + n], dtype=dtype)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError("malformed numeric value",
                              self.path, self.line()) from None
         self.pos += n
         return out
+
+
+# the line breaks of str.splitlines, and a token of str.split
+_LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_TOKEN = re.compile(r"\S+")
 
 
 def _parse_vtk(path: str):
@@ -85,25 +107,23 @@ def _parse_vtk(path: str):
     point_vectors{name: array}).
     """
     with open(path, "r") as f:
-        text = f.read()
-    lines = text.splitlines()
-    if not lines or not lines[0].lstrip().startswith("# vtk DataFile"):
+        head = _LINE_END.split(f.read(), 3)  # 3 header lines and the body
+    if len(head) == 4:
+        body = head.pop()
+    else:
+        body = ""
+        if not head[-1]:
+            head.pop()  # a final line break starts no line
+    if not head or not head[0].lstrip().startswith("# vtk DataFile"):
         raise ParseError("missing '# vtk DataFile' header", path, 1)
-    if len(lines) < 4:
-        raise ParseError("truncated VTK header", path, len(lines))
-    fmt = lines[2].strip().upper()
+    if not body:
+        raise ParseError("truncated VTK header", path, len(head))
+    fmt = head[2].strip().upper()
     if fmt != "ASCII":
-        raise ParseError(f"unsupported VTK format '{lines[2].strip()}' "
+        raise ParseError(f"unsupported VTK format '{head[2].strip()}' "
                          "(only ASCII legacy files)", path, 3)
 
-    ts = _Tokens("\n".join(lines[3:]), path)
-    # token line numbers are offset by the 3 header lines we skipped
-    header_offset = 3
-
-    def err(msg, token=None):
-        line = ts.line() if token is None else ts.lines[token]
-        return ParseError(msg, path, line + header_offset)
-
+    ts = _Tokens(body, path, skipped=3)
     points = np.zeros((0, 3))
     cells = None
     cell_types = None
@@ -117,81 +137,86 @@ def _parse_vtk(path: str):
         if kw == "DATASET":
             kind = ts.next().upper()
             if kind != "UNSTRUCTURED_GRID":
-                raise err(f"unsupported dataset type '{kind}'")
+                raise ts.error(f"unsupported dataset type '{kind}'")
         elif kw == "POINTS":
-            n = ts.next_int()
+            n = ts.next_count()
             ts.next()  # dtype
             points = ts.take(3 * n, np.float64).reshape(n, 3)
         elif kw == "CELLS":
-            n = ts.next_int()
-            m = ts.next_int()
+            n = ts.next_count()
+            m = ts.next_count()
             first = ts.pos
             raw = ts.take(m, np.int64)
-            starts, pos = [], 0
-            for _ in range(n):
-                if pos >= m:
-                    raise err("CELLS section shorter than declared")
-                starts.append(pos)
-                pos += 1 + int(raw[pos])
-            if pos != m:
-                raise err("CELLS section longer than declared")
+            if m == 5 * n and (raw[::5] == 4).all():
+                starts = np.arange(0, m, 5)
+            else:
+                # not all tets: walk the cells to find the bad one
+                starts, pos = [], 0
+                for _ in range(n):
+                    if pos >= m:
+                        raise ts.error("CELLS section shorter than declared")
+                    starts.append(pos)
+                    pos += 1 + int(raw[pos])
+                if pos != m:
+                    raise ts.error("CELLS section longer than declared")
             is_index = np.ones(m, dtype=bool)
             is_index[starts] = False
             bad = np.flatnonzero(is_index & ((raw < 0) | (raw >= len(points))))
             if len(bad):
-                raise err(f"vertex index {raw[bad[0]]} out of range "
-                          f"(file has {len(points)} points)", first + bad[0])
+                raise ts.error(f"vertex index {raw[bad[0]]} out of range "
+                               f"(file has {len(points)} points)", first + bad[0])
             cells, cell_sizes = raw[is_index], raw[starts]
         elif kw == "CELL_TYPES":
             if cells is None:
-                raise err("CELL_TYPES before CELLS")
+                raise ts.error("CELL_TYPES before CELLS")
             n = ts.next_int()
             if n != len(cell_sizes):
-                raise err(f"CELL_TYPES declares {n} cells, CELLS "
-                          f"{len(cell_sizes)}", ts.pos - 1)
+                raise ts.error(f"CELL_TYPES declares {n} cells, CELLS "
+                               f"{len(cell_sizes)}", ts.pos - 1)
             cell_types = ts.take(n, np.int64)
             bad = np.flatnonzero(cell_types != _VTK_TET)
             if len(bad):
-                raise err(f"unsupported cell type {cell_types[bad[0]]} (only "
-                          f"tetrahedra, type {_VTK_TET})", ts.pos - n + bad[0])
+                raise ts.error(f"unsupported cell type {cell_types[bad[0]]} (only "
+                               f"tetrahedra, type {_VTK_TET})", ts.pos - n + bad[0])
             bad = np.flatnonzero(cell_sizes != 4)
             if len(bad):
-                raise err(f"tetrahedral cell with {cell_sizes[bad[0]]} vertices",
-                          first + starts[bad[0]])
+                raise ts.error(f"tetrahedral cell with {cell_sizes[bad[0]]} vertices",
+                               first + starts[bad[0]])
         elif kw == "CELL_DATA":
             association = "cell"
-            assoc_n = ts.next_int()
+            assoc_n = ts.next_count()
         elif kw == "POINT_DATA":
             association = "point"
-            assoc_n = ts.next_int()
+            assoc_n = ts.next_count()
         elif kw == "VECTORS":
             name = ts.next()
             ts.next()  # dtype
             if association is None:
-                raise err("VECTORS before CELL_DATA/POINT_DATA")
+                raise ts.error("VECTORS before CELL_DATA/POINT_DATA")
             arr = ts.take(3 * assoc_n, np.float64).reshape(assoc_n, 3)
             (cell_vectors if association == "cell" else point_vectors)[name] = arr
         elif kw == "SCALARS":
             ts.next()  # name
             ts.next()  # dtype
             ncomp = 1
-            if ts.peek() is not None and ts.peek().isdigit():
-                ncomp = ts.next_int()
+            tok = ts.peek()
+            if tok is not None and tok.removeprefix("-").isdigit():
+                ncomp = ts.next_count()
             if ts.next().upper() != "LOOKUP_TABLE":
-                raise err("SCALARS without LOOKUP_TABLE")
+                raise ts.error("SCALARS without LOOKUP_TABLE")
             ts.next()  # table name
             ts.take(ncomp * assoc_n, np.float64)
         elif kw == "FIELD":
             ts.next()  # field name
-            n_arrays = ts.next_int()
+            n_arrays = ts.next_count()
             for _ in range(n_arrays):
                 ts.next()  # array name
-                nc = ts.next_int()
-                nt = ts.next_int()
+                nc = ts.next_count()
+                nt = ts.next_count()
                 ts.next()  # dtype
                 ts.take(nc * nt, np.float64)
         else:
-            raise err(f"unexpected token '{kw}'")
+            raise ts.error(f"unexpected token '{kw}'")
 
     return points, cells, cell_types, cell_vectors, point_vectors
 
@@ -203,11 +228,7 @@ def _parse_msh(path: str):
     are skipped; volume blocks must contain 4-node tets.
     """
     with open(path, "r") as f:
-        text = f.read()
-    ts = _Tokens(text, path)
-
-    def err(msg):
-        return ParseError(msg, path, ts.line())
+        ts = _Tokens(f.read(), path)
 
     node_tags = []
     node_xyz = []
@@ -217,21 +238,21 @@ def _parse_msh(path: str):
     while not ts.done():
         section = ts.next()
         if not section.startswith("$"):
-            raise err(f"expected section marker, got '{section}'")
+            raise ts.error(f"expected section marker, got '{section}'")
         name = section[1:]
         if name == "MeshFormat":
             version = ts.next()
             file_type = ts.next_int()
             ts.next_int()  # data size
             if not version.startswith("4.1"):
-                raise err(f"unsupported MSH version '{version}' (need 4.1)")
+                raise ts.error(f"unsupported MSH version '{version}' (need 4.1)")
             if file_type != 0:
-                raise err("binary MSH files are not supported")
+                raise ts.error("binary MSH files are not supported")
             saw_format = True
             if ts.next() != "$EndMeshFormat":
-                raise err("missing $EndMeshFormat")
+                raise ts.error("missing $EndMeshFormat")
         elif name == "Nodes":
-            n_blocks = ts.next_int()
+            n_blocks = ts.next_count()
             ts.next_int()  # numNodes
             ts.next_int()  # minTag
             ts.next_int()  # maxTag
@@ -240,16 +261,16 @@ def _parse_msh(path: str):
                 ts.next_int()  # entityTag
                 parametric = ts.next_int()
                 if parametric != 0:
-                    raise err("parametric nodes are not supported")
-                n_in_block = ts.next_int()
+                    raise ts.error("parametric nodes are not supported")
+                n_in_block = ts.next_count()
                 tags = ts.take(n_in_block, np.int64)
                 xyz = ts.take(3 * n_in_block, np.float64).reshape(n_in_block, 3)
                 node_tags.append(tags)
                 node_xyz.append(xyz)
             if ts.next() != "$EndNodes":
-                raise err("missing $EndNodes")
+                raise ts.error("missing $EndNodes")
         elif name == "Elements":
-            n_blocks = ts.next_int()
+            n_blocks = ts.next_count()
             ts.next_int()
             ts.next_int()
             ts.next_int()
@@ -257,21 +278,21 @@ def _parse_msh(path: str):
                 dim = ts.next_int()
                 ts.next_int()  # entityTag
                 etype = ts.next_int()
-                n_in_block = ts.next_int()
+                n_in_block = ts.next_count()
                 if dim < 3:
                     # lower-dimensional boundary entities: tag + node tags
                     n_nodes = _MSH_NODES_PER_TYPE.get(etype)
                     if n_nodes is None:
-                        raise err(f"unsupported element type {etype}")
+                        raise ts.error(f"unsupported element type {etype}")
                     ts.take((1 + n_nodes) * n_in_block, np.int64)
                     continue
                 if etype != 4:
-                    raise err(f"unsupported volume element type {etype} "
-                              "(only 4-node tetrahedra)")
+                    raise ts.error(f"unsupported volume element type {etype} "
+                                   "(only 4-node tetrahedra)")
                 rows = ts.take(5 * n_in_block, np.int64).reshape(n_in_block, 5)
                 tets.append(rows[:, 1:])
             if ts.next() != "$EndElements":
-                raise err("missing $EndElements")
+                raise ts.error("missing $EndElements")
         else:
             # skip unknown sections ($PhysicalNames, $Entities, ...)
             end = f"$End{name}"
@@ -370,37 +391,47 @@ def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
     return Pcvf(mesh, arr)
 
 
-def _fmt_floats(row) -> str:
-    return " ".join(repr(float(v)) for v in row)
+def _rows(fmt: str, arr: np.ndarray) -> str:
+    """One `fmt` line per row of a 2-D array; `fmt` has a field per column.
+    `%r` of a Python float is its shortest round-trip repr."""
+    return (fmt * len(arr)) % tuple(arr.ravel().tolist())
+
+
+def _grid_text(mesh: TetMesh) -> str:
+    """The POINTS, CELLS and CELL_TYPES sections of `mesh`."""
+    n_t = mesh.n_t
+    return (f"POINTS {mesh.n_v} double\n" + _rows("%r %r %r\n", mesh.vertices)
+            + f"CELLS {n_t} {5 * n_t}\n" + _rows("4 %d %d %d %d\n", mesh.tets)
+            + f"CELL_TYPES {n_t}\n" + f"{_VTK_TET}\n" * n_t)
+
+
+def _write_grid(path, mesh: TetMesh, grid: str, cell_vectors: dict | None,
+                title: str):
+    """Write a VTK file of `mesh`, whose sections `grid` holds already
+    formatted (`_grid_text`), and of its per-tet vector arrays."""
+    data = []
+    if cell_vectors:
+        data.append(f"CELL_DATA {mesh.n_t}\n")
+        for name, arr in cell_vectors.items():
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != (mesh.n_t, 3):
+                raise FieldError(f"cell vector array '{name}' must have shape "
+                                 f"({mesh.n_t}, 3)")
+            data.append(f"VECTORS {name} double\n")
+            data.append(_rows("%r %r %r\n", arr))
+    title = title.replace("\n", " ")[:255]
+    with open(path, "w", newline="\n") as f:
+        f.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                "DATASET UNSTRUCTURED_GRID\n")
+        f.write(grid)
+        f.writelines(data)
 
 
 def write_vtk(path, mesh: TetMesh, cell_vectors: dict | None = None,
               title: str = "hodge3d"):
     """Write a VTK legacy ASCII unstructured grid with optional per-tet
     vector arrays; byte output is deterministic for fixed inputs."""
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append(title.replace("\n", " ")[:255])
-    out.append("ASCII")
-    out.append("DATASET UNSTRUCTURED_GRID")
-    out.append(f"POINTS {mesh.n_v} double")
-    out.extend(_fmt_floats(p) for p in mesh.vertices)
-    out.append(f"CELLS {mesh.n_t} {5 * mesh.n_t}")
-    out.extend("4 " + " ".join(str(int(i)) for i in t) for t in mesh.tets)
-    out.append(f"CELL_TYPES {mesh.n_t}")
-    out.extend("10" for _ in range(mesh.n_t))
-    if cell_vectors:
-        out.append(f"CELL_DATA {mesh.n_t}")
-        for name, arr in cell_vectors.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != (mesh.n_t, 3):
-                raise FieldError(f"cell vector array '{name}' must have shape "
-                                 f"({mesh.n_t}, 3)")
-            out.append(f"VECTORS {name} double")
-            out.extend(_fmt_floats(v) for v in arr)
-    with open(path, "w", newline="\n") as f:
-        f.write("\n".join(out))
-        f.write("\n")
+    _write_grid(path, mesh, _grid_text(mesh), cell_vectors, title)
 
 
 def _sha256_arrays(*arrays) -> str:
@@ -457,10 +488,12 @@ def write_outputs(result: DecompositionResult, out_dir,
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "vtk" in formats:
+        mesh = result.input.mesh
+        grid = _grid_text(mesh)
         for name, comp in result.components.items():
             p = os.path.join(out_dir, f"{name}.vtk")
-            write_vtk(p, result.input.mesh, {name: comp.vectors},
-                      title=f"{result.scheme} component {name}")
+            _write_grid(p, mesh, grid, {name: comp.vectors},
+                        title=f"{result.scheme} component {name}")
             written.append(p)
     if "json" in formats:
         p = os.path.join(out_dir, "report.json")

@@ -151,7 +151,8 @@ def build_complex(vertices, tets) -> TetMesh:
     Raises
     ------
     MeshError
-        Out-of-range or unused vertex indices, degenerate tets.
+        Non-finite coordinates, out-of-range or unused vertex indices,
+        degenerate tets.
     NonManifoldError
         Duplicate tets or a face shared by three or more tets.
     """
@@ -159,6 +160,11 @@ def build_complex(vertices, tets) -> TetMesh:
     tets = np.ascontiguousarray(np.asarray(tets, dtype=np.int64))
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshError("vertices must be an (n, 3) array")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        v = int(np.argmin(finite))
+        raise MeshError(f"vertex {v} has a non-finite coordinate "
+                        f"{vertices[v].tolist()}")
     if tets.ndim != 2 or tets.shape[1] != 4 or len(tets) == 0:
         raise MeshError("at least one tetrahedron (4 vertex indices) is required")
     n_v = len(vertices)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import hodge3d as h
-from hodge3d.errors import FieldError, ParseError
+from hodge3d.cli import main
+from hodge3d.errors import FieldError, MeshError, ParseError
 
 from oracles import write_gmsh41
 
@@ -72,6 +76,115 @@ def test_read_rejects_malformed_cells(tmp_path, replacements, line, message):
     assert exc.value.line == line
 
 
+MSH_TET = """\
+$MeshFormat
+4.1 0 8
+$EndMeshFormat
+$Nodes
+1 4 1 4
+3 1 0 4
+1
+2
+3
+4
+0.0 0.0 0.0
+1.0 0.0 0.0
+0.0 1.0 0.0
+0.0 0.0 1.0
+$EndNodes
+$Elements
+1 1 1 1
+3 1 4 1
+1 1 2 3 4
+$EndElements
+"""
+
+CELL_DATA = GOLDEN_TET + "CELL_DATA 1\n"
+
+# (file text, extension, line of the negative count)
+NEGATIVE_COUNTS = [
+    (GOLDEN_TET.replace("POINTS 4", "POINTS -4"), ".vtk", 5),
+    (GOLDEN_TET.replace("CELLS 1 5", "CELLS -1 5"), ".vtk", 10),
+    (GOLDEN_TET.replace("CELLS 1 5", "CELLS 1 -5"), ".vtk", 10),
+    (GOLDEN_TET + "CELL_DATA -1\nVECTORS v double\n0.0 0.0 0.0\n", ".vtk", 14),
+    (GOLDEN_TET + "POINT_DATA -1\nVECTORS v double\n0.0 0.0 0.0\n", ".vtk", 14),
+    (CELL_DATA + "SCALARS s double -1\nLOOKUP_TABLE default\n0.0\n", ".vtk", 15),
+    (CELL_DATA + "FIELD f -1\n", ".vtk", 15),
+    (CELL_DATA + "FIELD f 1\na -3 1 double\n0.0\n", ".vtk", 16),
+    (CELL_DATA + "FIELD f 1\na 1 -3 double\n0.0\n", ".vtk", 16),
+    (MSH_TET.replace("$Nodes\n1 4", "$Nodes\n-1 4"), ".msh", 5),
+    (MSH_TET.replace("3 1 0 4", "3 1 0 -4"), ".msh", 6),
+    (MSH_TET.replace("$Elements\n1 1", "$Elements\n-1 1"), ".msh", 17),
+    (MSH_TET.replace("3 1 4 1", "3 1 4 -1"), ".msh", 18),
+]
+
+
+def test_read_rejects_negative_counts(tmp_path):
+    # A negative count used to move the token cursor backwards, and some
+    # files made the reader loop forever: read them in a child process
+    # under a timeout.
+    paths = []
+    for i, (text, ext, _) in enumerate(NEGATIVE_COUNTS):
+        p = tmp_path / f"case{i}{ext}"
+        p.write_text(text)
+        paths.append(str(p))
+    code = ("import sys\nimport hodge3d as h\n"
+            "for p in sys.argv[1:]:\n"
+            "    try:\n        h.read_mesh(p)\n"
+            "    except h.ParseError as exc:\n        print(exc.line, exc)\n"
+            "    else:\n        print('accepted')\n")
+    src = os.path.dirname(os.path.dirname(h.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = proc.stdout.splitlines()
+    assert len(got) == len(paths)
+    for out, p, (_, _, line) in zip(got, paths, NEGATIVE_COUNTS):
+        assert out.startswith(f"{line} {p}:{line}: negative count -"), out
+
+
+@pytest.mark.parametrize("ext, text, old, new", [
+    (".vtk", GOLDEN_TET, "\n4 0 1 2 3", "\n{} 0 1 2 3"),
+    (".msh", MSH_TET, "0 4\n1\n", "0 4\n{}\n"),
+], ids=["vtk_cell_size", "msh_node_tag"])
+def test_integer_overflow_is_a_malformed_value(tmp_path, ext, text, old, new):
+    # reported like any other malformed token in the same place
+    errors = []
+    for token in ("99999999999999999999", "x"):
+        p = tmp_path / f"{token}{ext}"
+        p.write_text(text.replace(old, new.format(token)))
+        with pytest.raises(ParseError, match="malformed numeric value") as exc:
+            h.read_mesh(p)
+        errors.append((str(exc.value).replace(str(p), "<path>"), exc.value.line))
+    assert errors[0] == errors[1]
+    assert errors[0][1] > 0
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nan.vtk", GOLDEN_TET.replace("1.0 0.0 0.0", "1.0 nan 0.0")),
+    ("inf.msh", MSH_TET.replace("1.0 0.0 0.0", "inf 0.0 0.0")),
+], ids=["vtk_nan", "msh_inf"])
+def test_non_finite_vertices_are_rejected(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(MeshError, match="vertex 1 has a non-finite coordinate"):
+        h.read_mesh(p)
+    assert main(["decompose", "--mesh", str(p), "--field", "X0",
+                 "--scheme", "fd"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_parse_error_without_line_names_only_the_path(tmp_path):
+    p = tmp_path / "nocells.vtk"
+    p.write_text(GOLDEN_TET[:GOLDEN_TET.index("CELLS")])
+    with pytest.raises(ParseError) as exc:
+        h.read_mesh(p)
+    assert str(exc.value) == f"{p}: file lacks POINTS, CELLS or CELL_TYPES"
+    assert exc.value.line == 0
+
+
 def test_read_rejects_binary_and_garbage(tmp_path):
     p = tmp_path / "b.vtk"
     p.write_text(GOLDEN_TET.replace("ASCII", "BINARY"))
@@ -110,6 +223,41 @@ def test_vtk_roundtrip_bit_exact(ball_coarse, tmp_path):
     assert (mesh2.tets == ball_coarse.tets).all()
     Y = h.read_field(p, mesh2)
     assert (Y.vectors == X.vectors).all()
+
+
+# every float is written as its shortest round-trip repr
+GOLDEN_WRITE = """\
+# vtk DataFile Version 3.0
+golden
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 5 double
+-0.0 0.0 0.0
+1.0 1e-05 0.0
+0.0 1.0 0.30000000000000004
+0.0 0.0 1.0
+1.0 1.0 1.0
+CELLS 2 10
+4 0 1 2 3
+4 1 2 3 4
+CELL_TYPES 2
+10
+10
+CELL_DATA 2
+VECTORS v double
+1e+16 5e-324 -0.0
+123456789.0 -0.30000000000000004 1e-05
+"""
+
+
+def test_write_golden_bytes(tmp_path):
+    verts = [(-0.0, 0.0, 0.0), (1.0, 1e-05, 0.0),
+             (0.0, 1.0, 0.30000000000000004), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)]
+    mesh = h.build_complex(verts, [(0, 1, 2, 3), (1, 2, 3, 4)])
+    vecs = [(1e+16, 5e-324, -0.0), (123456789.0, -0.30000000000000004, 1e-05)]
+    p = tmp_path / "golden.vtk"
+    h.write_vtk(p, mesh, {"v": vecs}, title="golden")
+    assert p.read_bytes() == GOLDEN_WRITE.encode()
 
 
 def test_write_deterministic(ball_tiny, tmp_path):
@@ -238,3 +386,9 @@ def test_write_outputs_deterministic(ball_tiny, tmp_path):
         assert open(f1, "rb").read() == open(f2, "rb").read()
     rep = json.loads((d1 / "report.json").read_text())
     assert rep["scheme"] == "FD"
+    # each component file is what write_vtk writes for it alone
+    for name, comp in r.components.items():
+        alone = tmp_path / f"{name}.vtk"
+        h.write_vtk(alone, ball_tiny, {name: comp.vectors},
+                    title=f"FD component {name}")
+        assert (d1 / f"{name}.vtk").read_bytes() == alone.read_bytes()
