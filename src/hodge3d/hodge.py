@@ -231,8 +231,9 @@ class HodgeDecomposer:
         Its vertex operator is the P1 Laplacian L = P^T A P of the
         unconstrained face Gram A, with P the face-from-vertex averaging;
         since P1_0 is a subspace of CR_0, the constrained system's vertex
-        operator is the interior-vertex block of that one L. P, L and the
-        smoothing bound are built once per engine.
+        operator is the interior-vertex block of that one L, and its P the
+        interior-face, interior-vertex block of P. P, L and the smoothing
+        bound are built once per engine.
         """
         if constrained not in self._cycles:
             mesh = self.mesh
@@ -246,12 +247,10 @@ class HodgeDecomposer:
                                        _smoothing_bound(self.tables))
             P, L, bound = self._vertex_system
             A = self._gram("grad", constrained)[0].csr
-            rows = cols = None
             if constrained:
                 rows, cols = self._dof_face.interior_mask, ~mesh.boundary_vertex
-                L = L[cols][:, cols]
-            self._cycles[constrained] = auxiliary_space_cycle(
-                A, P, L, bound, rows, cols)
+                P, L = P[rows][:, cols], L[cols][:, cols]
+            self._cycles[constrained] = auxiliary_space_cycle(A, P, L, bound)
         return self._cycles[constrained]
 
     def _project(self, X: Pcvf, space: str, constrained: bool,
@@ -304,14 +303,15 @@ class HodgeDecomposer:
         surface ends on the boundary). Jumps that are differences of
         per-tet constants give gradients of CR functions; fixing J = 0 on
         a spanning forest of the tet graph removes them and leaves a b1-
-        dimensional solution space. It is found by elimination: an edge
-        with one undetermined face determines it; when none has, the
-        lowest undetermined face becomes a free parameter. The edges
-        never used that way give equations on the parameters, whose null
-        space picks the solutions. The jumps are O(1) on the faces of a
-        surface that cuts the tunnels, so the field's H_D part is a flux
-        through that surface and does not shrink with the tet count, as a
-        random field's would.
+        dimensional solution space. It is found by peeling, in rounds:
+        every edge with one undetermined face determines that face, one
+        edge per face; when no edge has one, the lowest undetermined face
+        becomes a free parameter. The edges never used that way give
+        equations on the parameters, whose null space picks the
+        solutions. The jumps are O(1) on the faces of a surface that cuts
+        the tunnels, so the field's H_D part is a flux through that
+        surface and does not shrink with the tet count, as a random
+        field's would.
         """
         mesh, tables = self.mesh, self.tables
         if betti_numbers(mesh).b1 == 0:
@@ -334,57 +334,36 @@ class HodgeDecomposer:
         face_of = np.broadcast_to(np.arange(n_if)[:, None], edge.shape)[inner]
         inc = csr_matrix((sign[inner], (edge[inner], face_of)),
                          shape=(mesh.n_e, n_if))
-        indptr, faces, signs = (inc.indptr.tolist(), inc.indices.tolist(),
-                                inc.data.tolist())
+        # open_count[e]: the undetermined faces of edge e; coeff: the jumps
+        # of the faces in terms of the parameters (zero rows: undetermined)
         open_count = np.bincount(edge[inner][undetermined[face_of]],
-                                 minlength=mesh.n_e).tolist()
-        face_edges = edge.tolist()
-        undetermined = undetermined.tolist()
-        jumps = {}      # face -> {parameter: coefficient}; absent when zero
-        used = [False] * mesh.n_e
-        ready = [e for e, c in enumerate(open_count) if c == 1]
-
-        def settle(f):
-            undetermined[f] = False
-            for e in face_edges[f]:
-                if e >= 0:
-                    open_count[e] -= 1
-                    if open_count[e] == 1:
-                        ready.append(e)
-
-        n_param, lowest = 0, 0
-        while True:
-            while ready:
-                e = ready.pop()
-                if open_count[e] != 1:
-                    continue
-                used[e] = True
-                total = {}
-                for q in range(indptr[e], indptr[e + 1]):
-                    f = faces[q]
-                    if undetermined[f]:
-                        target, s_target = f, signs[q]
-                    elif f in jumps:
-                        for p, c in jumps[f].items():
-                            total[p] = total.get(p, 0.0) + signs[q] * c
-                value = {p: -s_target * c for p, c in total.items() if c}
-                if value:
-                    jumps[target] = value
-                settle(target)
-            while lowest < n_if and not undetermined[lowest]:
-                lowest += 1
-            if lowest == n_if:
-                break
-            jumps[lowest] = {n_param: 1.0}
-            n_param += 1
-            settle(lowest)
+                                 minlength=mesh.n_e)
+        used = np.zeros(mesh.n_e, dtype=bool)
+        coeff = np.zeros((n_if, 0))
+        while undetermined.any():
+            ready = np.flatnonzero(open_count == 1)
+            if len(ready):
+                rows = inc[ready]
+                open_entry = undetermined[rows.indices]
+                # one edge per face: the first of the edges that reach it
+                target, first = np.unique(rows.indices[open_entry],
+                                          return_index=True)
+                used[ready[first]] = True
+                coeff[target] = (-rows.data[open_entry][first, None]
+                                 * (rows[first] @ coeff))
+            else:
+                target = np.flatnonzero(undetermined)[:1]
+                coeff = np.hstack([coeff, np.zeros((n_if, 1))])
+                coeff[target, -1] = 1.0
+            undetermined[target] = False
+            settled = edge[target]
+            open_count -= np.bincount(settled[settled >= 0],
+                                      minlength=mesh.n_e)
+        n_param = coeff.shape[1]
         if n_param == 0:
             return
 
-        coeff = np.zeros((n_if, n_param))
-        for f, value in jumps.items():
-            coeff[f, list(value)] = list(value.values())
-        unused = np.flatnonzero(~np.array(used) & (np.diff(inc.indptr) > 0))
+        unused = np.flatnonzero(~used & (np.diff(inc.indptr) > 0))
         equations = np.vstack([np.zeros(n_param), inc[unused] @ coeff])
         sv, vt = np.linalg.svd(np.linalg.qr(equations, mode="r"))[1:]
         null = vt[int((sv > 1e-9 * max(sv[0], 1.0)).sum()):].T

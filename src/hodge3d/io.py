@@ -57,7 +57,7 @@ class _Tokens:
 
     def next(self) -> str:
         if self.done():
-            raise ParseError("unexpected end of file", self.path, self.line())
+            raise self.error("unexpected end of file")
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
@@ -70,8 +70,8 @@ class _Tokens:
         try:
             return int(tok)
         except ValueError:
-            raise ParseError(f"expected integer, got '{tok}'",
-                             self.path, self.line()) from None
+            raise self.error(f"expected integer, got '{tok}'",
+                             self.pos - 1) from None
 
     def next_count(self) -> int:
         """The next integer, which must not be negative: a negative count
@@ -83,15 +83,24 @@ class _Tokens:
 
     def take(self, n: int, dtype) -> np.ndarray:
         if self.pos + n > len(self.toks):
-            raise ParseError(f"expected {n} more values, file ended",
-                             self.path, self.line())
+            raise self.error(f"expected {n} more values, file ended")
         try:
             out = np.array(self.toks[self.pos:self.pos + n], dtype=dtype)
         except (ValueError, OverflowError):
-            raise ParseError("malformed numeric value",
-                             self.path, self.line()) from None
+            # find the bad token only now, so the fast path stays one call
+            bad = next((i for i in range(self.pos, self.pos + n)
+                        if not _converts(self.toks[i], dtype)), self.pos)
+            raise self.error("malformed numeric value", bad) from None
         self.pos += n
         return out
+
+
+def _converts(tok: str, dtype) -> bool:
+    try:
+        np.array(tok, dtype=dtype)
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 # the line breaks of str.splitlines, and a token of str.split

@@ -257,7 +257,7 @@ def _v_cycle(levels, coarse, b, k=0):
     return x
 
 
-def auxiliary_space_cycle(A, P, L, bound: float, rows=None, cols=None):
+def auxiliary_space_cycle(A, P, L, bound: float):
     """The preconditioner z = M(r) of a face system A, for `solve_spsd`.
 
     One application is a damped Jacobi step on A, the restriction of the
@@ -267,26 +267,13 @@ def auxiliary_space_cycle(A, P, L, bound: float, rows=None, cols=None):
     space when `bound` bounds lambda_max(D^-1 A).
 
     A : CSR of the face system
-    P : (n_f, n_v) CSR that sets each face's value to the mean of its
-        vertex values; one P serves every system of a mesh
-    L : CSR of the vertex operator, P^T A P restricted to `cols`
+    P : CSR that sets each of the system's faces to the mean of its
+        vertex values, on the vertices the vertex operator keeps (for a
+        boundary-constrained system, the interior faces and vertices)
+    L : CSR of the vertex operator P^T A P
     bound : upper bound on lambda_max(D^-1 A) and lambda_max(D^-1 L)
-    rows, cols : masks of the faces and vertices the system keeps (a
-        boundary-constrained system); None keeps them all
     """
-    R = P.T
-    if rows is None:
-        prolong, restrict = P.__matmul__, R.__matmul__
-    else:
-        def prolong(e):
-            full = np.zeros(P.shape[1])
-            full[cols] = e
-            return (P @ full)[rows]
-
-        def restrict(r):
-            full = np.zeros(P.shape[0])
-            full[rows] = r
-            return (R @ full)[cols]
     levels, coarse = _vertex_levels(L, bound)
-    face = (A, _SMOOTHING / bound * _inverse_diagonal(A), prolong, restrict)
+    face = (A, _SMOOTHING / bound * _inverse_diagonal(A), P.__matmul__,
+            P.T.__matmul__)
     return functools.partial(_v_cycle, [face] + levels, coarse)

@@ -138,3 +138,13 @@ def disjoint_union(*meshes):
         tets.append(m.tets + offset)
         offset += m.n_v
     return build_complex(np.vstack(verts), np.vstack(tets))
+
+
+def renumbered(mesh, seed=0):
+    """`mesh` with its vertices and its tets in a random order."""
+    from hodge3d import build_complex
+
+    rng = np.random.default_rng(seed)
+    pv = rng.permutation(mesh.n_v)
+    perm = rng.permutation(mesh.n_t)
+    return build_complex(mesh.vertices[pv], np.argsort(pv)[mesh.tets[perm]])

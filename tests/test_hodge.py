@@ -8,7 +8,7 @@ import hodge3d as h
 from hodge3d import hodge as hodge_module
 from hodge3d.errors import FieldError
 
-from oracles import disjoint_union
+from oracles import disjoint_union, renumbered
 
 
 def _unit(X):
@@ -492,18 +492,24 @@ def test_basis_solve_failure_names_the_basis(torus_coarse, monkeypatch):
     assert exc.value.stage == "basis_dirichlet/grad_unconstrained"
 
 
-@pytest.mark.parametrize("case", ["disjoint_solids", "finer_torus"])
+@pytest.mark.parametrize("case", ["disjoint_solids", "finer_torus",
+                                  "renumbered_torus"])
 def test_harmonic_bases_match_direct_chain(case):
     # two tori and a shelled ball (b0=3, b1=2, b2=1) need a cut per
     # tunnel in separate solids; the finer torus shows that the accuracy
-    # of the complements does not degrade with the tet count
+    # of the complements does not degrade with the tet count; on the
+    # renumbered torus the cut's peeling stalls twice for one tunnel, so
+    # the equations of the unused edges remove a parameter
     if case == "disjoint_solids":
         torus = h.generate_voxel_domain("solid_torus", 0.3)
         cavity = h.generate_voxel_domain("ball_with_cavity", 0.3,
                                          cavity_radius=0.5)
         mesh, schemes = disjoint_union(torus, torus, cavity), h.SCHEMES
-    else:
+    elif case == "finer_torus":
         mesh, schemes = h.generate_voxel_domain("solid_torus", 0.1), ("FD",)
+    else:
+        mesh = renumbered(h.generate_voxel_domain("solid_torus", 0.15))
+        schemes = h.SCHEMES
     b = h.betti_numbers(mesh)
     engine = h.HodgeDecomposer(mesh)
     X = h.random_field(mesh, seed=[6, 2], normalize=True)

@@ -162,6 +162,29 @@ def test_integer_overflow_is_a_malformed_value(tmp_path, ext, text, old, new):
     assert errors[0][1] > 0
 
 
+@pytest.mark.parametrize("ext, text, line, message", [
+    (".vtk", GOLDEN_TET.replace("\n4 0 1 2 3",
+                                "\n99999999999999999999 0 1 2 3"),
+     11, "malformed numeric value"),
+    (".vtk", GOLDEN_TET.replace("0.0 1.0 0.0\n", "0.0 1.x 0.0\n"),
+     8, "malformed numeric value"),
+    (".vtk", GOLDEN_TET.replace("CELLS 1 5", "CELLS x 5"),
+     10, "expected integer, got 'x'"),
+    (".vtk", GOLDEN_TET.removesuffix("10\n"),
+     12, "expected 1 more values, file ended"),
+    (".msh", MSH_TET.replace("0.0 1.0 0.0\n", "0.0 1.x 0.0\n"),
+     13, "malformed numeric value"),
+], ids=["vtk_cell_size_overflow", "vtk_point_coordinate", "vtk_cells_count",
+        "vtk_cut_after_cell_types", "msh_node_coordinate"])
+def test_token_errors_name_the_line_of_the_bad_token(tmp_path, ext, text,
+                                                     line, message):
+    p = tmp_path / f"bad{ext}"
+    p.write_text(text)
+    with pytest.raises(ParseError, match=message) as exc:
+        h.read_mesh(p)
+    assert exc.value.line == line
+
+
 @pytest.mark.parametrize("name, text", [
     ("nan.vtk", GOLDEN_TET.replace("1.0 0.0 0.0", "1.0 nan 0.0")),
     ("inf.msh", MSH_TET.replace("1.0 0.0 0.0", "inf 0.0 0.0")),
