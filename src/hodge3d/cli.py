@@ -26,7 +26,8 @@ from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
 from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
                     SCHEMES, HodgeDecomposer, _expected_dimension,
                     estimate_harmonic_dimension)
-from .io import make_report, read_field, read_mesh, write_outputs
+from .io import (_read_mesh_and_field, make_report, read_field, read_mesh,
+                 write_outputs)
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
 __all__ = ["main"]
@@ -55,24 +56,30 @@ def _build_field(ns, mesh) -> Pcvf:
     src = ns.field
     if src.startswith("file:"):
         path = src[5:]
-        if ns.mesh is not None and os.path.abspath(path) == \
-                os.path.abspath(ns.mesh):
-            X = read_field(path, mesh, resample=ns.resample)
-        else:
-            src_mesh = read_mesh(path)
-            X = read_field(path, src_mesh, resample=ns.resample)
-            if src_mesh.n_t == mesh.n_t and src_mesh.n_v == mesh.n_v:
-                X = Pcvf(mesh, X.vectors)
-            else:
-                X = _transfer_field(X, mesh)
-    elif src in ANALYTIC_FIELDS:
-        X = sample_analytic(mesh, src)
+        src_mesh = read_mesh(path)
+        X = read_field(path, src_mesh, resample=ns.resample)
+        if src_mesh.n_t == mesh.n_t and src_mesh.n_v == mesh.n_v:
+            return Pcvf(mesh, X.vectors)
+        return _transfer_field(X, mesh)
+    if src in ANALYTIC_FIELDS:
+        return sample_analytic(mesh, src)
+    raise _UsageError(f"unknown field '{src}' (analytic fields: "
+                      f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
+
+
+def _build_inputs(ns):
+    """The mesh and the field of a decomposition. When --mesh and --field
+    file: name one file, both come from one read of it."""
+    src = ns.field
+    if ns.mesh is not None and src.startswith("file:") and \
+            os.path.abspath(src[5:]) == os.path.abspath(ns.mesh):
+        mesh, X = _read_mesh_and_field(ns.mesh, resample=ns.resample)
     else:
-        raise _UsageError(f"unknown field '{src}' (analytic fields: "
-                          f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
+        mesh = _build_mesh(ns)
+        X = _build_field(ns, mesh)
     if ns.rho > 0:
         X = add_noise(X, ns.rho, ns.seed)
-    return X
+    return mesh, X
 
 
 def _extra_report_entries(ns) -> dict:
@@ -86,8 +93,7 @@ def _extra_report_entries(ns) -> dict:
 
 
 def _decompose_core(ns):
-    mesh = _build_mesh(ns)
-    X = _build_field(ns, mesh)
+    mesh, X = _build_inputs(ns)
     engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
     result = engine.decompose(X, ns.scheme)
     paths = []

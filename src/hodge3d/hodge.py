@@ -21,13 +21,14 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from .assembly import SparseSymMatrix, assemble_gram, assemble_rhs, reconstruct
+from .assembly import (SparseSymMatrix, _table_for, assemble_gram,
+                       assemble_rhs, reconstruct)
 from .errors import ConvergenceError, FieldError
 from .fem import build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
 from .mesh import (_LOCAL_EDGES, TetMesh, _boundary_surfaces,
                    _interior_face_tets, _solid_components, betti_numbers)
-from .solver import auxiliary_space_cycle, solve_spsd
+from .solver import SolveReport, auxiliary_space_cycle, solve_spsd
 
 __all__ = [
     "ZERO_THRESHOLD",
@@ -193,7 +194,11 @@ class HodgeDecomposer:
     matrix per space (curl/gradient basis), its interior block as the
     boundary-constrained system, the multilevel cycle of each face system,
     and the two harmonic bases, so repeated decompositions on the same
-    mesh only pay for the solves.
+    mesh only pay for the solves. A system's Gram is assembled on the
+    first projection whose rhs is above the rounding floor; a projection
+    at the floor is zero and takes only the Gram's peak diagonal, which
+    comes from the element tables. So a `verify` whose curl checks are
+    all orthogonal by discrete Stokes assembles no edge Gram.
     """
 
     def __init__(self, mesh: TetMesh, tol: float = 1e-12,
@@ -203,6 +208,7 @@ class HodgeDecomposer:
         self.max_iter = max_iter
         self.tables, self._dof_edge, self._dof_face = build_element_tables(mesh)
         self._grams = {}
+        self._peaks = {}
         self._cycles = {}
         self._vertex_system = None
         self._bases = {}
@@ -210,20 +216,34 @@ class HodgeDecomposer:
     def _dofmap(self, space: str):
         return self._dof_edge if space == "curl" else self._dof_face
 
-    def _gram(self, space: str, constrained: bool):
+    def _gram(self, space: str, constrained: bool) -> SparseSymMatrix:
         key = (space, constrained)
         if key not in self._grams:
             if constrained:
                 # Ned_0 and CR_0 are spanned by the interior dofs, so their
                 # system is the interior block of the unconstrained Gram
-                full = self._gram(space, False)[0].csr
+                full = self._gram(space, False).csr
                 free = self._dofmap(space).interior_mask
-                gram = SparseSymMatrix(csr=full[free][:, free])
+                self._grams[key] = SparseSymMatrix(csr=full[free][:, free])
             else:
-                gram = assemble_gram(self.mesh, self.tables, self._dofmap(space))
-            peak = float(gram.diagonal().max(initial=0.0))
-            self._grams[key] = (gram, peak)
+                self._grams[key] = assemble_gram(self.mesh, self.tables,
+                                                 self._dofmap(space))
         return self._grams[key]
+
+    def _peak_diagonal(self, space: str, constrained: bool) -> float:
+        """The largest diagonal entry of a system's Gram, from the element
+        tables: A_jj = sum_t vol(t) |d_tj|^2, so no Gram is assembled."""
+        key = (space, constrained)
+        if key not in self._peaks:
+            dofmap = self._dofmap(space)
+            d = _table_for(self.tables, dofmap)
+            diag = np.bincount(dofmap.tet_to_dof.ravel(), weights=(
+                self.mesh.volumes[:, None] * np.einsum("tld,tld->tl", d, d)
+            ).ravel(), minlength=dofmap.n_dofs)
+            if constrained:
+                diag = diag[dofmap.interior_mask]
+            self._peaks[key] = float(diag.max(initial=0.0))
+        return self._peaks[key]
 
     def _cycle(self, constrained: bool):
         """The auxiliary-space cycle that preconditions a face system.
@@ -242,11 +262,11 @@ class HodgeDecomposer:
                 P = csr_matrix((np.full(3 * n_f, 1.0 / 3.0), mesh.faces.ravel(),
                                 np.arange(0, 3 * n_f + 1, 3)),
                                shape=(n_f, mesh.n_v))
-                A = self._gram("grad", False)[0].csr
+                A = self._gram("grad", False).csr
                 self._vertex_system = (P, (P.T @ (A @ P)).tocsr(),
                                        _smoothing_bound(self.tables))
             P, L, bound = self._vertex_system
-            A = self._gram("grad", constrained)[0].csr
+            A = self._gram("grad", constrained).csr
             if constrained:
                 rows, cols = self._dof_face.interior_mask, ~mesh.boundary_vertex
                 P, L = P[rows][:, cols], L[cols][:, cols]
@@ -260,17 +280,23 @@ class HodgeDecomposer:
         stage = prefix + _stage(space, constrained)
         dofmap = self._dofmap(space)
         b = assemble_rhs(X, self.tables, dofmap)
-        gram, peak_diag = self._gram(space, constrained)
         # Cauchy-Schwarz bounds every |b_j| by |X| * sqrt(A_jj); an rhs below
-        # rounding level of that scale means the projection is zero.
-        atol = 1e-13 * np.sqrt(sq_norm(X) * peak_diag)
+        # rounding level of that scale means the projection is zero, and
+        # then the Gram is neither assembled nor solved with.
+        peak = self._peak_diagonal(space, constrained)
+        atol = 1e-13 * np.sqrt(sq_norm(X) * peak)
         free = dofmap.interior_mask if constrained else slice(None)
-        M = self._cycle(constrained) if space == "grad" else None
         coeff = np.zeros(dofmap.n_dofs)
-        coeff[free], report = solve_spsd(gram, b[free], tol=self.tol,
-                                         max_iter=self.max_iter, atol=atol, M=M)
-        if not report.converged:
-            raise ConvergenceError(stage, report)
+        if np.linalg.norm(b[free]) <= atol:
+            report = SolveReport(iterations=0, relative_residual=0.0,
+                                 converged=True)
+        else:
+            M = self._cycle(constrained) if space == "grad" else None
+            coeff[free], report = solve_spsd(
+                self._gram(space, constrained), b[free], tol=self.tol,
+                max_iter=self.max_iter, atol=atol, M=M)
+            if not report.converged:
+                raise ConvergenceError(stage, report)
         return reconstruct(self.mesh, self.tables, dofmap, coeff), report, stage
 
     def _surface_lifts(self):

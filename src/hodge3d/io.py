@@ -339,44 +339,28 @@ def _compact(points: np.ndarray, tets: np.ndarray):
     return points[used], remap[tets]
 
 
-def read_mesh(path, format: str | None = None) -> TetMesh:
-    """Read a tetrahedral mesh from a VTK legacy or Gmsh 4.1 file.
-
-    The format is inferred from the extension (.vtk / .msh) unless given
-    explicitly as "vtk_legacy" or "gmsh_msh". Non-tetrahedral volume
-    cells are rejected; unreferenced points are dropped.
-    """
-    path = os.fspath(path)
+def _format_of(path: str) -> str:
+    """The mesh format that the extension of `path` names."""
+    ext = os.path.splitext(path)[1].lower()
+    format = {"": "vtk_legacy", ".vtk": "vtk_legacy",
+              ".msh": "gmsh_msh"}.get(ext)
     if format is None:
-        ext = os.path.splitext(path)[1].lower()
-        format = {"": "vtk_legacy", ".vtk": "vtk_legacy",
-                  ".msh": "gmsh_msh"}.get(ext)
-        if format is None:
-            raise ParseError(f"cannot infer format from extension '{ext}'", path)
-    if format == "vtk_legacy":
-        points, cells, cell_types, _, _ = _parse_vtk(path)
-        if cell_types is None:
-            raise ParseError("file lacks POINTS, CELLS or CELL_TYPES", path)
-        if len(cell_types) == 0:
-            raise ParseError("empty mesh (no cells)", path)
-        tets = cells.reshape(-1, 4)
-    elif format == "gmsh_msh":
-        points, tets = _parse_msh(path)
-    else:
-        raise ParseError(f"unknown mesh format '{format}'", path)
-    points, tets = _compact(points, tets)
-    return build_complex(points, tets)
+        raise ParseError(f"cannot infer format from extension '{ext}'", path)
+    return format
 
 
-def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
-    """Read a vector field for `mesh` from a VTK legacy file.
+def _vtk_mesh(path: str, points, cells, cell_types) -> TetMesh:
+    """The mesh of a parsed VTK file (`_parse_vtk`)."""
+    if cell_types is None:
+        raise ParseError("file lacks POINTS, CELLS or CELL_TYPES", path)
+    if len(cell_types) == 0:
+        raise ParseError("empty mesh (no cells)", path)
+    return build_complex(*_compact(points, cells.reshape(-1, 4)))
 
-    Cell data (one vector per tet) loads directly. Point data is only
-    accepted with resample="barycentric", which averages the four vertex
-    vectors of every tet; the conversion is never applied silently.
-    """
-    path = os.fspath(path)
-    _, _, _, cell_vectors, point_vectors = _parse_vtk(path)
+
+def _vtk_field(path: str, mesh: TetMesh, cell_vectors: dict,
+               point_vectors: dict, resample: str | None) -> Pcvf:
+    """The field for `mesh` of a parsed VTK file (`_parse_vtk`)."""
     if cell_vectors:
         name = next(iter(cell_vectors))
         arr = cell_vectors[name]
@@ -398,6 +382,47 @@ def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
     if not np.isfinite(arr).all():
         raise FieldError(f"vector field '{name}' contains NaN or Inf entries")
     return Pcvf(mesh, arr)
+
+
+def read_mesh(path, format: str | None = None) -> TetMesh:
+    """Read a tetrahedral mesh from a VTK legacy or Gmsh 4.1 file.
+
+    The format is inferred from the extension (.vtk / .msh) unless given
+    explicitly as "vtk_legacy" or "gmsh_msh". Non-tetrahedral volume
+    cells are rejected; unreferenced points are dropped.
+    """
+    path = os.fspath(path)
+    if format is None:
+        format = _format_of(path)
+    if format == "vtk_legacy":
+        return _vtk_mesh(path, *_parse_vtk(path)[:3])
+    if format == "gmsh_msh":
+        return build_complex(*_compact(*_parse_msh(path)))
+    raise ParseError(f"unknown mesh format '{format}'", path)
+
+
+def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
+    """Read a vector field for `mesh` from a VTK legacy file.
+
+    Cell data (one vector per tet) loads directly. Point data is only
+    accepted with resample="barycentric", which averages the four vertex
+    vectors of every tet; the conversion is never applied silently.
+    """
+    path = os.fspath(path)
+    return _vtk_field(path, mesh, *_parse_vtk(path)[3:], resample)
+
+
+def _read_mesh_and_field(path, resample: str | None = None):
+    """`mesh = read_mesh(path)` and `read_field(path, mesh, resample)`, with
+    one parse of a VTK file. Errors come in the same order, with the same
+    messages and lines, as from the two calls."""
+    path = os.fspath(path)
+    if _format_of(path) != "vtk_legacy":
+        mesh = read_mesh(path)
+        return mesh, read_field(path, mesh, resample)
+    points, cells, cell_types, cell_vectors, point_vectors = _parse_vtk(path)
+    mesh = _vtk_mesh(path, points, cells, cell_types)
+    return mesh, _vtk_field(path, mesh, cell_vectors, point_vectors, resample)
 
 
 def _rows(fmt: str, arr: np.ndarray) -> str:

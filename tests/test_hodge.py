@@ -315,13 +315,77 @@ def _count_solves(monkeypatch):
 def test_full_verify_on_ball_solves_only_curly_gradient(ball_engine,
                                                         monkeypatch):
     # b1 = b2 = 0 on a ball: both harmonic components are within the
-    # bound, so only the curly gradient's two relations need a solve
+    # bound, so only the curly gradient's two relations are re-projected
     X = h.random_field(ball_engine.mesh, seed=8, normalize=True)
     r = ball_engine.decompose(X, "FULL")
-    calls = _count_solves(monkeypatch)
+    calls = []
+    project = h.HodgeDecomposer._project
+
+    def counting_project(self, *args, **kwargs):
+        calls.append(args)
+        return project(self, *args, **kwargs)
+
+    monkeypatch.setattr(h.HodgeDecomposer, "_project", counting_project)
     rep = ball_engine.verify(r)
     assert rep.passed
     assert len(calls) == 2
+
+
+def _record_grams(monkeypatch):
+    """The dof kind of every Gram assembled from now on, in order."""
+    kinds = []
+    assemble = hodge_module.assemble_gram
+
+    def recording(mesh, tables, dofmap):
+        kinds.append(dofmap.kind)
+        return assemble(mesh, tables, dofmap)
+
+    monkeypatch.setattr(hodge_module, "assemble_gram", recording)
+    return kinds
+
+
+@pytest.mark.parametrize("domain", ["ball", "cavity", "torus"])
+def test_verify_assembles_no_edge_gram(request, monkeypatch, domain):
+    # discrete Stokes makes every curl membership check orthogonal by
+    # construction, so its rhs stays at the rounding floor and the edge
+    # (Nedelec) Gram is never needed
+    kinds = _record_grams(monkeypatch)
+    engine = h.HodgeDecomposer(request.getfixturevalue(f"{domain}_coarse"))
+    X = h.random_field(engine.mesh, seed=12, normalize=True)
+    for scheme in h.SCHEMES:
+        assert engine.verify(engine.decompose(X, scheme)).passed, scheme
+    assert kinds == ["face_based"]
+
+
+def test_peak_diagonal_matches_gram(ball_engine, cavity_engine, torus_engine):
+    # the tables give the Gram's diagonal with another summation order
+    for engine in (ball_engine, cavity_engine, torus_engine):
+        for space in ("curl", "grad"):
+            for constrained in (False, True):
+                peak = engine._gram(space, constrained).diagonal().max()
+                got = engine._peak_diagonal(space, constrained)
+                assert abs(got - peak) <= 4 * np.spacing(peak), \
+                    (space, constrained)
+
+
+def test_curl_projection_above_floor_still_solves(ball_coarse, monkeypatch):
+    kinds = _record_grams(monkeypatch)
+    reports = []
+    solve = hodge_module.solve_spsd
+
+    def recording_solve(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        reports.append(out[1])
+        return out
+
+    monkeypatch.setattr(hodge_module, "solve_spsd", recording_solve)
+    engine = h.HodgeDecomposer(ball_coarse)
+    X = h.random_field(ball_coarse, seed=13, normalize=True)
+    for constrained in (False, True):
+        engine.project_curl(X, constrained=constrained)
+    assert kinds == ["edge_based"]
+    assert len(reports) == 2
+    assert all(rep.converged and rep.iterations > 0 for rep in reports)
 
 
 def test_verify_catches_gradient_in_harmonic_dirichlet(torus_engine):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hodge3d as h
+from hodge3d import io as h_io
 from hodge3d.cli import main
 from hodge3d.errors import FieldError, MeshError, ParseError
 
@@ -183,6 +184,31 @@ def test_token_errors_name_the_line_of_the_bad_token(tmp_path, ext, text,
     with pytest.raises(ParseError, match=message) as exc:
         h.read_mesh(p)
     assert exc.value.line == line
+
+
+def test_shared_mesh_and_field_file_is_parsed_once(tmp_path, monkeypatch,
+                                                   ball_tiny):
+    vtk = tmp_path / "ball.vtk"
+    h.write_vtk(vtk, ball_tiny, {"v": h.sample_analytic(ball_tiny, "X1").vectors})
+    paths = []
+    parse = h_io._parse_vtk
+
+    def counted(path):
+        paths.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(h_io, "_parse_vtk", counted)
+    assert main(["decompose", "--mesh", str(vtk), "--field", f"file:{vtk}",
+                 "--scheme", "fd"]) == 0
+    assert paths == [str(vtk)]
+
+
+def test_bad_vector_in_shared_file_names_its_line(tmp_path, capsys):
+    p = tmp_path / "bad.vtk"
+    p.write_text(GOLDEN_TET + "CELL_DATA 1\nVECTORS v double\n1.0 2.x 3.0\n")
+    assert main(["decompose", "--mesh", str(p), "--field", f"file:{p}",
+                 "--scheme", "fd"]) == 1
+    assert capsys.readouterr().err == f"error: {p}:16: malformed numeric value\n"
 
 
 @pytest.mark.parametrize("name, text", [

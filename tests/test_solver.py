@@ -148,7 +148,7 @@ def test_face_cycle_is_symmetric_positive_definite(case):
     engine = h.HodgeDecomposer(mesh)
     for constrained in (False, True):
         cycle = engine._cycle(constrained)
-        n = engine._gram("grad", constrained)[0].n
+        n = engine._gram("grad", constrained).n
         M = np.column_stack([cycle(e) for e in np.eye(n)])
         assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()  # seen: 4e-16
         # raises LinAlgError unless positive definite (seen: lambda_min /
@@ -166,7 +166,7 @@ def test_preconditioned_projection_matches_jacobi(request, engine_name):
     for constrained in (False, True):
         free = dofmap.interior_mask if constrained else slice(None)
         coeff = np.zeros(dofmap.n_dofs)
-        coeff[free], rep = h.solve_spsd(engine._gram("grad", constrained)[0],
+        coeff[free], rep = h.solve_spsd(engine._gram("grad", constrained),
                                         b[free])
         assert rep.converged
         Q = h.reconstruct(mesh, engine.tables, dofmap, coeff)
@@ -185,7 +185,7 @@ def test_face_cycle_iterations_barely_grow():
         b = h.assemble_rhs(h.random_field(mesh, seed=4, normalize=True),
                            engine.tables, engine._dof_face)
         for constrained in (False, True):
-            gram = engine._gram("grad", constrained)[0]
+            gram = engine._gram("grad", constrained)
             rhs = b[engine._dof_face.interior_mask] if constrained else b
             _, jacobi = h.solve_spsd(gram, rhs)
             _, cycle = h.solve_spsd(gram, rhs, M=engine._cycle(constrained))
