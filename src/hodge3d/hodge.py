@@ -18,16 +18,14 @@ and tunnels.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse import csr_matrix
 
 from .assembly import (SparseSymMatrix, _table_for, assemble_gram,
                        assemble_rhs, reconstruct)
 from .errors import ConvergenceError, FieldError
 from .fem import build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
-from .mesh import (_LOCAL_EDGES, TetMesh, _boundary_surfaces,
-                   _interior_face_tets, _solid_components, betti_numbers)
+from .mesh import _LOCAL_EDGES, TetMesh, _interior_face_tets, betti_numbers
 from .solver import SolveReport, auxiliary_space_cycle, solve_spsd
 
 __all__ = [
@@ -305,8 +303,8 @@ class HodgeDecomposer:
         one per connected solid (lifting all of a solid's surfaces gives a
         constant, whose gradient vanishes)."""
         mesh = self.mesh
-        bfaces, label, _, n_surf = _boundary_surfaces(mesh)
-        _, solid = _solid_components(mesh)
+        bfaces, label, _, n_surf = mesh._boundary_surfaces
+        solid = mesh._tet_forest[1]
         face_solid = np.empty(mesh.n_f, dtype=solid.dtype)
         face_solid[mesh.tet_faces] = solid[:, None]
         surface_solid = np.empty(n_surf, dtype=solid.dtype)
@@ -329,7 +327,10 @@ class HodgeDecomposer:
         surface ends on the boundary). Jumps that are differences of
         per-tet constants give gradients of CR functions; fixing J = 0 on
         a spanning forest of the tet graph removes them and leaves a b1-
-        dimensional solution space. It is found by peeling, in rounds:
+        dimensional solution space. The forest is the mesh's cached one
+        (`TetMesh._tet_forest`): the minimum spanning forest when each
+        interior face weighs its index, which Borůvka rounds find in
+        numpy. The solutions are found by peeling, in rounds:
         every edge with one undetermined face determines that face, one
         edge per face; when no edge has one, the lowest undetermined face
         becomes a free parameter. The edges never used that way give
@@ -342,13 +343,9 @@ class HodgeDecomposer:
         mesh, tables = self.mesh, self.tables
         if betti_numbers(mesh).b1 == 0:
             return
-        owner, slot, other = _interior_face_tets(mesh)
+        owner, slot, _ = _interior_face_tets(mesh)
         n_if = len(owner)
-        tree = minimum_spanning_tree(coo_matrix(
-            (np.arange(1.0, n_if + 1), (owner, other)),
-            shape=(mesh.n_t, mesh.n_t)))
-        undetermined = np.ones(n_if, dtype=bool)
-        undetermined[tree.data.astype(np.intp) - 1] = False
+        undetermined = ~mesh._tet_forest[2]
 
         grads = tables.cr_gradients[owner, slot]
         local = _FACE_EDGES[slot]

@@ -5,11 +5,10 @@ classification, per-tet geometry, topology invariants, and voxel-based
 generation of the built-in test domains.
 """
 
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError, NonManifoldError, TopologyError
 
@@ -123,6 +122,67 @@ class TetMesh:
     @property
     def euler_characteristic(self) -> int:
         return self.n_v - self.n_e + self.n_f - self.n_t
+
+    # The two graphs the topology is read from, each labelled once per mesh.
+    # A property that raises caches nothing, so a pinched mesh raises again.
+
+    @cached_property
+    def _tet_forest(self):
+        """Spanning forest of the tet adjacency graph, whose edges are the
+        interior faces in `_interior_face_tets` order: (count, label per
+        tet, in_forest per interior face)."""
+        owner, _, other = _interior_face_tets(self)
+        count, label, in_forest = _spanning_forest(self.n_t, owner, other)
+        label.setflags(write=False)
+        in_forest.setflags(write=False)
+        return count, label, in_forest
+
+    @cached_property
+    def _boundary_surfaces(self):
+        """The boundary faces labelled by the closed surface they lie on.
+
+        Two boundary faces lie on one surface when they share a boundary
+        edge.
+
+        Returns
+        -------
+        (bface_ids, face_label, edge_label, n_surf)
+            The boundary face indices, the surface label of each of them,
+            the surface label of each boundary edge, and the number of
+            surfaces.
+
+        Raises
+        ------
+        NonManifoldError
+            If there is no boundary, or a boundary edge does not have
+            exactly two boundary faces.
+        """
+        n_v = self.n_v
+        bface_ids = np.flatnonzero(self.boundary_face)
+        n_bf = len(bface_ids)
+        if n_bf == 0:
+            raise NonManifoldError("complex has no boundary (not a solid in 3-space)")
+        bf = self.faces[bface_ids]
+        ekeys = np.concatenate([bf[:, 0] * n_v + bf[:, 1],
+                                bf[:, 0] * n_v + bf[:, 2],
+                                bf[:, 1] * n_v + bf[:, 2]])
+        owner = np.tile(np.arange(n_bf), 3)
+        order = np.argsort(ekeys, kind="stable")
+        ekeys_s = ekeys[order]
+        owner_s = owner[order]
+        starts = np.flatnonzero(np.r_[True, ekeys_s[1:] != ekeys_s[:-1]])
+        group_sizes = np.diff(np.r_[starts, len(ekeys_s)])
+        if (group_sizes != 2).any():
+            raise NonManifoldError("boundary edge without exactly two boundary "
+                                   "faces (pinched boundary)")
+        fa = owner_s[starts]
+        fb = owner_s[starts + 1]
+        n_surf, face_label, _ = _spanning_forest(n_bf, fa, fb)
+        # boundary edges inherit the (shared) label of their two faces
+        out = bface_ids, face_label, face_label[fa]
+        for a in out:
+            a.setflags(write=False)
+        return *out, n_surf
 
     def total_volume(self) -> float:
         return float(self.volumes.sum())
@@ -245,55 +305,61 @@ def _interior_face_tets(mesh: TetMesh):
     return owner, slot, order[pair + 1] // 4
 
 
-def _solid_components(mesh: TetMesh):
-    """Connected components of the tet adjacency graph: (count, label per tet)."""
-    a, _, b = _interior_face_tets(mesh)
-    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(mesh.n_t, mesh.n_t))
-    n_comp, labels = connected_components(graph, directed=False)
-    return int(n_comp), labels
+def _spanning_forest(n: int, a, b):
+    """Components and minimum spanning forest of the graph on the nodes
+    0..n-1 whose edge i joins a[i] and b[i] and weighs i.
 
-
-def _boundary_surfaces(mesh: TetMesh):
-    """Label the boundary faces by the closed surface they lie on.
-
-    Two boundary faces lie on one surface when they share a boundary edge.
+    Borůvka rounds: each component's root picks its lowest-index crossing
+    edge and hooks to the root at the edge's other end; when two roots
+    pick the same edge, the lower one stays a root. Pointer jumping then
+    points every node at its new root. The weights are distinct, so the
+    forest is unique: the one scipy.sparse.csgraph.minimum_spanning_tree
+    finds for weights 1..len(a).
 
     Returns
     -------
-    (bface_ids, face_label, edge_label, n_surf)
-        The boundary face indices, the surface label of each of them, the
-        surface label of each boundary edge, and the number of surfaces.
-
-    Raises
-    ------
-    NonManifoldError
-        If there is no boundary, or a boundary edge does not have exactly
-        two boundary faces.
+    (count, label, in_forest)
+        The number of components, the component of each node (numbered
+        by their lowest node, as scipy.sparse.csgraph.connected_components
+        numbers them) and a mask of the forest's edges.
     """
-    n_v = mesh.n_v
-    bface_ids = np.flatnonzero(mesh.boundary_face)
-    n_bf = len(bface_ids)
-    if n_bf == 0:
-        raise NonManifoldError("complex has no boundary (not a solid in 3-space)")
-    bf = mesh.faces[bface_ids]
-    ekeys = np.concatenate([bf[:, 0] * n_v + bf[:, 1],
-                            bf[:, 0] * n_v + bf[:, 2],
-                            bf[:, 1] * n_v + bf[:, 2]])
-    owner = np.tile(np.arange(n_bf), 3)
-    order = np.argsort(ekeys, kind="stable")
-    ekeys_s = ekeys[order]
-    owner_s = owner[order]
-    starts = np.flatnonzero(np.r_[True, ekeys_s[1:] != ekeys_s[:-1]])
-    group_sizes = np.diff(np.r_[starts, len(ekeys_s)])
-    if (group_sizes != 2).any():
-        raise NonManifoldError("boundary edge without exactly two boundary faces "
-                               "(pinched boundary)")
-    fa = owner_s[starts]
-    fb = owner_s[starts + 1]
-    graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(n_bf, n_bf))
-    n_surf, face_label = connected_components(graph, directed=False)
-    # boundary edges inherit the (shared) label of their two faces
-    return bface_ids, face_label, face_label[fa], int(n_surf)
+    m = len(a)
+    # 4-byte indices halve the temporaries: at 1M tets 8-byte ones left
+    # about 20 MB of heap resident after the call
+    idx = np.int32 if max(n, m) < 2**31 else np.int64
+    parent = np.arange(n, dtype=idx)
+    in_forest = np.zeros(m, dtype=bool)
+    # per root, the position in `live` of its lightest crossing edge (m: none)
+    best = np.full(n, m, dtype=idx)
+    # the crossing edges, ascending, and the roots of their two ends
+    live, ra, rb = np.arange(m, dtype=idx), a.astype(idx), b.astype(idx)
+    while True:
+        cross = ra != rb
+        live, ra, rb = live[cross], ra[cross], rb[cross]
+        if not len(live):
+            break
+        pos = np.arange(len(live), dtype=idx)
+        np.minimum.at(best, ra, pos)
+        np.minimum.at(best, rb, pos)
+        roots = np.flatnonzero(best < m)
+        pick = best[roots]
+        in_forest[live[pick]] = True
+        ends = ra[pick], rb[pick]
+        other = np.where(ends[0] == roots, ends[1], ends[0])
+        hook = (best[other] != pick) | (other < roots)
+        best[roots] = m
+        parent[roots[hook]] = other[hook]
+        while True:
+            up = parent[parent]
+            if (up == parent).all():
+                break
+            parent = up
+        ra, rb = parent[ra], parent[rb]
+    low = np.full(n, n, dtype=idx)
+    np.minimum.at(low, parent, np.arange(n, dtype=idx))
+    low = low[parent]
+    first = low == np.arange(n)
+    return int(first.sum()), (np.cumsum(first, dtype=idx) - 1)[low], in_forest
 
 
 def betti_numbers(mesh: TetMesh) -> BettiNumbers:
@@ -312,8 +378,8 @@ def betti_numbers(mesh: TetMesh) -> BettiNumbers:
         Euler characteristic is inconsistent with the boundary's.
     """
     n_v = mesh.n_v
-    b0, _ = _solid_components(mesh)
-    bface_ids, face_label, edge_label, n_surf = _boundary_surfaces(mesh)
+    b0 = mesh._tet_forest[0]
+    bface_ids, face_label, edge_label, n_surf = mesh._boundary_surfaces
 
     f_per = np.bincount(face_label, minlength=n_surf)
     e_per = np.bincount(edge_label, minlength=n_surf)

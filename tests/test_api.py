@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -27,3 +30,37 @@ def test_star_import():
     namespace = {}
     exec("from hodge3d import *", namespace)
     assert set(h.__all__) <= set(namespace)
+
+
+def test_runs_load_no_dense_linear_algebra(tmp_path):
+    # scipy.sparse.csgraph imports scipy.linalg and its own BLAS; no run
+    # needs either. Checked in a fresh process, since this one may hold them.
+    code = f"""
+import sys
+import hodge3d as h
+from hodge3d import cli, mesh
+
+calls = []
+forest = mesh._spanning_forest
+mesh._spanning_forest = lambda *args: calls.append(1) or forest(*args)
+
+torus = h.generate_voxel_domain("solid_torus", 0.25)
+engine = h.HodgeDecomposer(torus)
+result = engine.decompose(h.sample_analytic(torus, "X4"), "FULL")
+assert engine.verify(result).passed
+assert h.estimate_harmonic_dimension(torus, "dirichlet") == 1
+del calls[:]
+assert cli.main(["decompose", "--domain", "solid_torus", "--h", "0.25",
+                 "--field", "X4", "--scheme", "fd",
+                 "--out", {str(tmp_path)!r}]) == 0
+assert len(calls) <= 2, calls
+loaded = [m for m in ("scipy.sparse.csgraph", "scipy.linalg")
+          if m in sys.modules]
+assert loaded == [], loaded
+"""
+    src = os.path.dirname(os.path.dirname(h.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

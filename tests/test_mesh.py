@@ -120,12 +120,59 @@ def test_betti_matches_gf2_oracle(ball_tiny, torus_coarse, cavity_coarse):
         assert tuple(h.betti_numbers(mesh)) == betti_gf2(mesh)
 
 
-def test_two_disjoint_balls_betti():
+def _two_disjoint_balls():
     m1 = h.generate_voxel_domain("ball", 0.5)
     verts = np.vstack([m1.vertices, m1.vertices + [10.0, 0.0, 0.0]])
     tets = np.vstack([m1.tets, m1.tets + m1.n_v])
-    mesh = h.build_complex(verts, tets)
-    assert tuple(h.betti_numbers(mesh)) == (2, 0, 0)
+    return h.build_complex(verts, tets)
+
+
+def test_two_disjoint_balls_betti():
+    assert tuple(h.betti_numbers(_two_disjoint_balls())) == (2, 0, 0)
+
+
+def _spanning_forest_oracle(n, a, b):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+
+    graph = coo_matrix((np.arange(1.0, len(a) + 1), (a, b)), shape=(n, n))
+    count, label = connected_components(graph, directed=False)
+    in_forest = np.zeros(len(a), dtype=bool)
+    in_forest[minimum_spanning_tree(graph).data.astype(np.intp) - 1] = True
+    return count, label, in_forest
+
+
+def _random_graphs(rng):
+    """Simple graphs in a random edge order: isolated nodes, no edges,
+    many components and a few large ones."""
+    yield 1, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    yield 7, np.zeros(0, np.int64), np.zeros(0, np.int64)
+    for _ in range(60):
+        n = int(rng.integers(2, 300))
+        m = int(rng.integers(0, 3 * n))
+        a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+        keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+        keys = rng.permutation(keys[keys // n != keys % n])
+        yield n, keys // n, keys % n
+
+
+def test_spanning_forest_matches_scipy():
+    from hodge3d.mesh import _interior_face_tets, _spanning_forest
+
+    balls = _two_disjoint_balls()
+    owner, _, other = _interior_face_tets(balls)
+    graphs = list(_random_graphs(np.random.default_rng(5)))
+    graphs.append((balls.n_t, owner, other))
+    assert min(_spanning_forest_oracle(*g)[0] for g in graphs[2:]) == 1
+    assert max(_spanning_forest_oracle(*g)[0] for g in graphs[2:]) > 50
+    for n, a, b in graphs:
+        count, label, in_forest = _spanning_forest(n, a, b)
+        want = _spanning_forest_oracle(n, a, b)
+        assert count == want[0]
+        np.testing.assert_array_equal(label, want[1])
+        np.testing.assert_array_equal(in_forest, want[2])
+        assert in_forest.sum() == n - count
+    assert balls._tet_forest[0] == 2
 
 
 def test_vertex_pinch_detected():
@@ -135,8 +182,9 @@ def test_vertex_pinch_detected():
     verts = REF_VERTS + far
     tets = [(0, 1, 2, 3), (0, 4, 5, 6)]
     mesh = h.build_complex(verts, tets)
-    with pytest.raises(NonManifoldError):
-        h.betti_numbers(mesh)
+    for _ in range(2):      # a cached topology must not hide the fault
+        with pytest.raises(NonManifoldError):
+            h.betti_numbers(mesh)
 
 
 def test_edge_pinch_detected():
@@ -144,8 +192,9 @@ def test_edge_pinch_detected():
     verts = REF_VERTS + [(0.0, -1.0, 0.0), (0.0, 0.0, -1.0)]
     tets = [(0, 1, 2, 3), (0, 1, 4, 5)]
     mesh = h.build_complex(verts, tets)
-    with pytest.raises(NonManifoldError):
-        h.betti_numbers(mesh)
+    for _ in range(2):      # a cached topology must not hide the fault
+        with pytest.raises(NonManifoldError):
+            h.betti_numbers(mesh)
 
 
 def test_ball_volume_riemann_oracle():
