@@ -6,7 +6,8 @@ analytic-field suite, `dims` for harmonic-space dimensions vs. topology,
 and `sweep` for resolution or noise studies. Each handler runs on the
 parsed arguments. `_check` applies every flag rule that needs no mesh
 before a mesh is built; generate_voxel_domain checks --h and the domain
-parameters, and `dims` checks --probes against the mesh's topology. Exit
+parameters, and `dims` checks --probes against the mesh's topology.
+`_build_inputs` alone puts a decomposition's mesh and field together. Exit
 codes: 0 success, 1 input error (a bad flag value included), 2 solver
 non-convergence. All randomness flows through explicit --seed flags;
 HODGE3D_THREADS caps sweep workers.
@@ -26,8 +27,7 @@ from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
 from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
                     SCHEMES, HodgeDecomposer, _expected_dimension,
                     estimate_harmonic_dimension)
-from .io import (_read_mesh_and_field, make_report, read_field, read_mesh,
-                 write_outputs)
+from .io import _read_mesh_and_field, make_report, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
 __all__ = ["main"]
@@ -52,31 +52,26 @@ def _transfer_field(src: Pcvf, dst_mesh) -> Pcvf:
     return Pcvf(dst_mesh, src.vectors[idx])
 
 
-def _build_field(ns, mesh) -> Pcvf:
-    src = ns.field
-    if src.startswith("file:"):
-        path = src[5:]
-        src_mesh = read_mesh(path)
-        X = read_field(path, src_mesh, resample=ns.resample)
-        if src_mesh.n_t == mesh.n_t and src_mesh.n_v == mesh.n_v:
-            return Pcvf(mesh, X.vectors)
-        return _transfer_field(X, mesh)
-    if src in ANALYTIC_FIELDS:
-        return sample_analytic(mesh, src)
-    raise _UsageError(f"unknown field '{src}' (analytic fields: "
-                      f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
-
-
 def _build_inputs(ns):
-    """The mesh and the field of a decomposition. When --mesh and --field
-    file: name one file, both come from one read of it."""
+    """The mesh and the field of a decomposition. A file: field is parsed
+    once. When it is --mesh, the run takes the file's own mesh and field;
+    any other mesh takes the field by nearest-barycenter transfer, which
+    is exact on an identical mesh."""
     src = ns.field
-    if ns.mesh is not None and src.startswith("file:") and \
-            os.path.abspath(src[5:]) == os.path.abspath(ns.mesh):
-        mesh, X = _read_mesh_and_field(ns.mesh, resample=ns.resample)
+    path = src[5:] if src.startswith("file:") else None
+    if path is not None and ns.mesh is not None and \
+            os.path.abspath(path) == os.path.abspath(ns.mesh):
+        mesh, X = _read_mesh_and_field(path, resample=ns.resample)
     else:
         mesh = _build_mesh(ns)
-        X = _build_field(ns, mesh)
+        if path is not None:
+            _, X = _read_mesh_and_field(path, resample=ns.resample)
+            X = _transfer_field(X, mesh)
+        elif src in ANALYTIC_FIELDS:
+            X = sample_analytic(mesh, src)
+        else:
+            raise _UsageError(f"unknown field '{src}' (analytic fields: "
+                              f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
     if ns.rho > 0:
         X = add_noise(X, ns.rho, ns.seed)
     return mesh, X

@@ -358,9 +358,10 @@ def _vtk_mesh(path: str, points, cells, cell_types) -> TetMesh:
     return build_complex(*_compact(points, cells.reshape(-1, 4)))
 
 
-def _vtk_field(path: str, mesh: TetMesh, cell_vectors: dict,
-               point_vectors: dict, resample: str | None) -> Pcvf:
-    """The field for `mesh` of a parsed VTK file (`_parse_vtk`)."""
+def _vtk_field(path: str, mesh: TetMesh, parsed: tuple,
+               resample: str | None) -> Pcvf:
+    """The field for `mesh` of a VTK file parsed by `_parse_vtk`."""
+    points, cells, _, cell_vectors, point_vectors = parsed
     if cell_vectors:
         name = next(iter(cell_vectors))
         arr = cell_vectors[name]
@@ -373,6 +374,8 @@ def _vtk_field(path: str, mesh: TetMesh, cell_vectors: dict,
         if resample != "barycentric":
             raise FieldError("file contains point data; pass "
                              "resample='barycentric' to average it onto tets")
+        if cells is not None and len(arr) == len(points) != mesh.n_v:
+            arr = arr[np.unique(cells)]  # the points that _compact keeps
         if len(arr) != mesh.n_v:
             raise FieldError(f"point vector field '{name}' has {len(arr)} entries, "
                              f"mesh has {mesh.n_v} vertices")
@@ -384,21 +387,17 @@ def _vtk_field(path: str, mesh: TetMesh, cell_vectors: dict,
     return Pcvf(mesh, arr)
 
 
-def read_mesh(path, format: str | None = None) -> TetMesh:
+def read_mesh(path) -> TetMesh:
     """Read a tetrahedral mesh from a VTK legacy or Gmsh 4.1 file.
 
-    The format is inferred from the extension (.vtk / .msh) unless given
-    explicitly as "vtk_legacy" or "gmsh_msh". Non-tetrahedral volume
-    cells are rejected; unreferenced points are dropped.
+    The extension picks the format: .vtk (or none) for VTK, .msh for
+    Gmsh. Non-tetrahedral volume cells are rejected; unreferenced points
+    are dropped.
     """
     path = os.fspath(path)
-    if format is None:
-        format = _format_of(path)
-    if format == "vtk_legacy":
+    if _format_of(path) == "vtk_legacy":
         return _vtk_mesh(path, *_parse_vtk(path)[:3])
-    if format == "gmsh_msh":
-        return build_complex(*_compact(*_parse_msh(path)))
-    raise ParseError(f"unknown mesh format '{format}'", path)
+    return build_complex(*_compact(*_parse_msh(path)))
 
 
 def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
@@ -406,10 +405,11 @@ def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
 
     Cell data (one vector per tet) loads directly. Point data is only
     accepted with resample="barycentric", which averages the four vertex
-    vectors of every tet; the conversion is never applied silently.
+    vectors of every tet, of the points read_mesh keeps; the conversion
+    is never applied silently.
     """
     path = os.fspath(path)
-    return _vtk_field(path, mesh, *_parse_vtk(path)[3:], resample)
+    return _vtk_field(path, mesh, _parse_vtk(path), resample)
 
 
 def _read_mesh_and_field(path, resample: str | None = None):
@@ -420,9 +420,9 @@ def _read_mesh_and_field(path, resample: str | None = None):
     if _format_of(path) != "vtk_legacy":
         mesh = read_mesh(path)
         return mesh, read_field(path, mesh, resample)
-    points, cells, cell_types, cell_vectors, point_vectors = _parse_vtk(path)
-    mesh = _vtk_mesh(path, points, cells, cell_types)
-    return mesh, _vtk_field(path, mesh, cell_vectors, point_vectors, resample)
+    parsed = _parse_vtk(path)
+    mesh = _vtk_mesh(path, *parsed[:3])
+    return mesh, _vtk_field(path, mesh, parsed, resample)
 
 
 def _rows(fmt: str, arr: np.ndarray) -> str:

@@ -34,7 +34,8 @@ def test_star_import():
 
 def test_runs_load_no_dense_linear_algebra(tmp_path):
     # scipy.sparse.csgraph imports scipy.linalg and its own BLAS; no run
-    # needs either. Checked in a fresh process, since this one may hold them.
+    # needs either. scipy.spatial is needed only to move a field file to
+    # another mesh. Checked in a fresh process, since this one may hold them.
     code = f"""
 import sys
 import hodge3d as h
@@ -54,7 +55,12 @@ assert cli.main(["decompose", "--domain", "solid_torus", "--h", "0.25",
                  "--field", "X4", "--scheme", "fd",
                  "--out", {str(tmp_path)!r}]) == 0
 assert len(calls) <= 2, calls
-loaded = [m for m in ("scipy.sparse.csgraph", "scipy.linalg")
+# a field file that is also --mesh needs no transfer, so no scipy.spatial
+shared = {os.path.join(str(tmp_path), "torus.vtk")!r}
+h.write_vtk(shared, torus, {{"v": h.sample_analytic(torus, "X4").vectors}})
+assert cli.main(["decompose", "--mesh", shared, "--field", "file:" + shared,
+                 "--scheme", "fd"]) == 0
+loaded = [m for m in ("scipy.sparse.csgraph", "scipy.linalg", "scipy.spatial")
           if m in sys.modules]
 assert loaded == [], loaded
 """

@@ -6,7 +6,7 @@ import pytest
 import hodge3d as h
 from hodge3d.cli import main
 
-from oracles import write_gmsh41
+from oracles import renumbered, write_gmsh41
 
 
 def test_decompose_generated_domain(tmp_path, capsys):
@@ -226,6 +226,29 @@ def test_sweep_file_field_transfer(tmp_path, ball_tiny):
                  "--out", str(out)])
     assert code == 0
     assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("mesh_args", ["domain", "mesh"])
+def test_file_field_on_renumbered_mesh(tmp_path, ball_coarse, ball_engine,
+                                       mesh_args):
+    # a field file on a renumbered copy of the run's mesh moves to the
+    # run's tets by position, not by index
+    other = renumbered(ball_coarse)
+    src = tmp_path / "renumbered.vtk"
+    h.write_vtk(src, other, {"v": h.sample_analytic(other, "X1").vectors})
+    if mesh_args == "domain":
+        args = ["--domain", "ball", "--h", "0.25"]
+    else:
+        h.write_vtk(tmp_path / "ball.vtk", ball_coarse)
+        args = ["--mesh", str(tmp_path / "ball.vtk")]
+    out = tmp_path / "out"
+    assert main(["decompose", *args, "--field", f"file:{src}", "--scheme",
+                 "fd", "--out", str(out), "--formats", "json"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    got = {c["name"]: c["fraction"] for c in report["components"]}
+    want = ball_engine.decompose(h.sample_analytic(ball_coarse, "X1"),
+                                 "FD").fractions()
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_point_data_requires_flag(tmp_path, ref_tet):

@@ -201,6 +201,17 @@ def test_shared_mesh_and_field_file_is_parsed_once(tmp_path, monkeypatch,
     assert main(["decompose", "--mesh", str(vtk), "--field", f"file:{vtk}",
                  "--scheme", "fd"]) == 0
     assert paths == [str(vtk)]
+    # a field moved to another mesh is parsed once too
+    del paths[:]
+    assert main(["decompose", "--domain", "ball", "--h", "0.5",
+                 "--field", f"file:{vtk}", "--scheme", "fd"]) == 0
+    assert paths == [str(vtk)]
+    other = tmp_path / "other.vtk"
+    h.write_vtk(other, ball_tiny)
+    del paths[:]
+    assert main(["decompose", "--mesh", str(other), "--field", f"file:{vtk}",
+                 "--scheme", "fd"]) == 0
+    assert paths == [str(other), str(vtk)]
 
 
 def test_bad_vector_in_shared_file_names_its_line(tmp_path, capsys):
@@ -261,6 +272,23 @@ def test_unused_points_are_compacted(tmp_path):
     p.write_text(text)
     mesh = h.read_mesh(p)
     assert mesh.n_v == 4
+
+
+def test_point_data_skips_unused_points(tmp_path):
+    # the unused point comes first, so every used point's index shifts
+    text = GOLDEN_TET.replace("POINTS 4 double\n",
+                              "POINTS 5 double\n9.0 9.0 9.0\n")
+    text = text.replace("4 0 1 2 3", "4 1 2 3 4")
+    vectors = np.arange(15.0).reshape(5, 3)
+    text += "POINT_DATA 5\nVECTORS v double\n" + "".join(
+        f"{x} {y} {z}\n" for x, y, z in vectors)
+    p = tmp_path / "unused.vtk"
+    p.write_text(text)
+    mesh = h.read_mesh(p)
+    X = h.read_field(p, mesh, resample="barycentric")
+    assert (X.vectors == vectors[mesh.tets + 1].mean(axis=1)).all()
+    assert main(["decompose", "--mesh", str(p), "--field", f"file:{p}",
+                 "--scheme", "fd", "--resample", "barycentric"]) == 0
 
 
 def test_vtk_roundtrip_bit_exact(ball_coarse, tmp_path):
