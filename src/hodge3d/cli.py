@@ -191,11 +191,17 @@ def _cmd_dims(ns) -> int:
     return 0 if ok else 1
 
 
+def _sweep_levels(ns) -> list:
+    """(kind, value, label) of every sweep level. kind names the swept
+    flag, "h" or "rho"; --h doubles as the level list of a resolution
+    sweep."""
+    kind, values = ("rho", ns.rho_levels) if ns.rho_levels else ("h", ns.h)
+    return [(kind, v, f"{kind}_{v:g}") for v in values]
+
+
 def _sweep_level(args):
-    ns, kind, value = args
-    label = f"{kind}_{value:g}"
-    # kind names the swept flag, "h" or "rho"; a rho sweep runs at its
-    # single --h (None with --mesh)
+    ns, kind, value, label = args
+    # a rho sweep runs at its single --h (None with --mesh)
     level = argparse.Namespace(**{
         **vars(ns), "h": ns.h[0] if ns.h else None, kind: float(value),
         "out": os.path.join(ns.out, label) if ns.out else None})
@@ -211,11 +217,7 @@ def _sweep_level(args):
 
 
 def _cmd_sweep(ns) -> int:
-    # --h doubles as the level list for resolution sweeps
-    if ns.rho_levels:
-        levels = [(ns, "rho", v) for v in ns.rho_levels]
-    else:
-        levels = [(ns, "h", v) for v in ns.h]
+    levels = [(ns, *level) for level in _sweep_levels(ns)]
 
     threads = os.environ.get("HODGE3D_THREADS", "1") or "1"
     try:
@@ -356,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(p, h_list=True)
     _add_field_args(p)
     _add_scheme_arg(p, default="fd")
-    p.add_argument("--rho-levels", type=_float_list, default=())
+    p.add_argument("--rho-levels", type=_float_list, default=None)
     p.add_argument("--out", help="output directory (per-level dirs + CSV)")
     _add_solver_args(p)
     p.set_defaults(handler=_cmd_sweep, formats=("vtk", "json"))
@@ -383,9 +385,7 @@ def _check(ns):
     if ns.subcommand in ("decompose", "sweep"):
         if ns.field is None:
             raise _UsageError("--field is required")
-        for flag, rho in [("--rho", ns.rho)] + [
-                ("--rho-levels", v) for v in getattr(ns, "rho_levels", ())]:
-            _require(flag, rho, 0)
+        _require("--rho", ns.rho, 0)
     _require("--tol", ns.tol, 0, strict=True)
     if ns.max_iter is not None:
         _require("--max-iter", ns.max_iter, 1)
@@ -393,11 +393,17 @@ def _check(ns):
     if unknown:
         raise _UsageError(f"unknown output format '{unknown[0]}' "
                           "(choose from vtk, json)")
+    if getattr(ns, "which", None) == ():
+        raise _UsageError("--which needs at least one subspace")
     for which in getattr(ns, "which", ()):
         if which not in _DIMENSION_SOURCES:
             raise _UsageError(f"unknown subspace '{which}' (choose from "
                               f"{', '.join(sorted(_DIMENSION_SOURCES))})")
     if ns.subcommand == "sweep":
+        if ns.rho_levels == ():
+            raise _UsageError("--rho-levels needs at least one level")
+        for rho in ns.rho_levels or ():
+            _require("--rho-levels", rho, 0)
         if ns.rho_levels:
             if ns.h and len(ns.h) > 1:
                 raise _UsageError("a rho sweep needs a single --h")
@@ -408,6 +414,13 @@ def _check(ns):
         # every level, before the first one runs and writes its outputs
         if not all(h > 0 for h in ns.h or ()):
             raise _UsageError("voxel size h must be positive")
+        # two levels with one label would write to one directory
+        first = {}
+        for _, value, label in _sweep_levels(ns):
+            if label in first:
+                raise _UsageError(f"sweep levels {first[label]!r} and "
+                                  f"{value!r} share the label '{label}'")
+            first[label] = value
 
 
 def main(argv=None) -> int:

@@ -41,10 +41,6 @@ class Pcvf:
         self.mesh = mesh
         self.vectors = vectors
 
-    @classmethod
-    def zero(cls, mesh: TetMesh) -> "Pcvf":
-        return cls(mesh, np.zeros((mesh.n_t, 3)))
-
     def __repr__(self):
         return f"Pcvf(n_t={self.mesh.n_t}, sq_norm={sq_norm(self):.6g})"
 

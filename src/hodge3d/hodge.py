@@ -157,12 +157,12 @@ def _stage(space: str, constrained: bool) -> str:
 
 
 def _smoothing_bound(tables) -> float:
-    """An upper bound on lambda_max(D^-1 A) for the face Gram A, the P1
-    Laplacian P^T A P, and their interior blocks.
+    """An upper bound on lambda_max(D^-1 A) for the face Gram A and its
+    interior block.
 
-    Each of them sums, over the tets, a multiple of the 4x4 Gram K_t of
-    the tet's hat-function gradients, and its diagonal D sums theirs, so
-    lambda_max(D^-1 A) <= max_t lambda_max(D_t^-1 K_t); an interior block
+    A sums, over the tets, a multiple of the 4x4 Gram K_t of the tet's
+    hat-function gradients, and its diagonal D sums theirs, so
+    lambda_max(D^-1 A) <= max_t lambda_max(D_t^-1 K_t); the interior block
     is a principal block and has no larger one. That local value is the
     largest eigenvalue of S_t, the sum of u u^T over the tet's four unit
     gradient directions u. S_t is 3x3 with trace 4, so the Laguerre-
@@ -272,7 +272,8 @@ class HodgeDecomposer:
         return self._cycles[constrained]
 
     def _project(self, X: Pcvf, space: str, constrained: bool,
-                 prefix: str = ""):
+                 reports: list | None = None, prefix: str = "") -> Pcvf:
+        """L2-orthogonal projection; appends (stage, report) to `reports`."""
         if X.mesh is not self.mesh:
             raise FieldError("field does not live on this decomposer's mesh")
         stage = prefix + _stage(space, constrained)
@@ -295,7 +296,9 @@ class HodgeDecomposer:
                 max_iter=self.max_iter, atol=atol, M=M)
             if not report.converged:
                 raise ConvergenceError(stage, report)
-        return reconstruct(self.mesh, self.tables, dofmap, coeff), report, stage
+        if reports is not None:
+            reports.append((stage, report))
+        return reconstruct(self.mesh, self.tables, dofmap, coeff)
 
     def _surface_lifts(self):
         """Gradients of the CR functions that are 1 on the faces of one
@@ -422,9 +425,8 @@ class HodgeDecomposer:
             for Y in seeds:
                 Y = Pcvf(self.mesh, Y.vectors / np.sqrt(sq_norm(Y)))
                 for _ in range(2):
-                    P, rep, stage = self._project(Y, "grad", constrained,
-                                                  f"basis_{kind}/")
-                    reports.append((stage, rep))
+                    P = self._project(Y, "grad", constrained, reports,
+                                      f"basis_{kind}/")
                     Y = combine(Y, P, 1.0, -1.0)
                 if sq_norm(Y) >= ZERO_THRESHOLD:
                     kept.append(Y.vectors)
@@ -440,11 +442,11 @@ class HodgeDecomposer:
 
     def project_curl(self, X: Pcvf, constrained: bool = True) -> Pcvf:
         """L2-orthogonal projection onto the (constrained) curl space."""
-        return self._project(X, "curl", constrained)[0]
+        return self._project(X, "curl", constrained)
 
     def project_grad(self, X: Pcvf, constrained: bool = True) -> Pcvf:
         """L2-orthogonal projection onto the (constrained) gradient space."""
-        return self._project(X, "grad", constrained)[0]
+        return self._project(X, "grad", constrained)
 
     def decompose(self, X: Pcvf, scheme: str) -> DecompositionResult:
         """Run the residual pipeline of `scheme` on X.
@@ -470,21 +472,16 @@ class HodgeDecomposer:
         steps = _STEPS[scheme]
         made_by = {step[4]: step[1:3] for step in steps}
         reports = []
-
-        def project_grad(Y, constrained):
-            P, rep, stage = self._project(Y, "grad", constrained)
-            reports.append((stage, rep))
-            return P
-
         parts = {"input": X}
         for source, space, constrained, projection, remainder in steps:
             Y = parts[source]
             if space == "grad":
-                P = project_grad(Y, constrained)
+                P = self._project(Y, "grad", constrained, reports)
             else:
                 R = Y
                 if made_by.get(source) != ("grad", not constrained):
-                    R = combine(Y, project_grad(Y, not constrained), 1.0, -1.0)
+                    R = combine(Y, self._project(Y, "grad", not constrained,
+                                                 reports), 1.0, -1.0)
                 basis = self._harmonic_basis(
                     "dirichlet" if constrained else "neumann", reports)
                 P = R
@@ -558,7 +555,7 @@ class HodgeDecomposer:
                 if comp_sq <= mem_bound:
                     value = comp_sq
                 else:
-                    value = sq_norm(self._project(comp, space, constrained)[0])
+                    value = sq_norm(self._project(comp, space, constrained))
                 add(f"{name}_vs_{_stage(space, constrained)}", value, mem_bound)
         return VerificationReport(checks=checks)
 
@@ -606,7 +603,7 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
     for i in range(probes):
         comp = random_field(mesh, seed=[seed, i], normalize=True)
         for space, constrained, keep in chain:
-            P = engine._project(comp, space, constrained)[0]
+            P = engine._project(comp, space, constrained)
             comp = P if keep == "projection" else combine(comp, P, 1.0, -1.0)
         if sq_norm(comp) >= ZERO_THRESHOLD:
             kept.append(comp)

@@ -15,6 +15,8 @@ vertex Laplacian L = P^T A P, where P sets each face's value to the mean
 of its vertex values, and L is solved by one smoothed-aggregation V-cycle
 (Vanek, Mandel & Brezina, Computing 56, 1996). With it the iteration
 count barely grows with the tet count, where Jacobi's grows like 1/h.
+Each level of the vertex hierarchy bounds its own smoother, so the
+hierarchy depends on L alone.
 """
 
 import functools
@@ -30,8 +32,8 @@ __all__ = ["SolveReport", "solve_spsd", "auxiliary_space_cycle"]
 
 # Every Jacobi smoother's weight is this over an upper bound on
 # lambda_max(D^-1 A). Any factor below 2 keeps the smoothers, and so the
-# symmetric cycles, positive definite while the bound holds. The bound
-# exceeds lambda_max by about 10% on lattice meshes and 20% on fitted
+# symmetric cycles, positive definite while the bound holds. The bounds
+# exceed lambda_max by 0-10% on lattice meshes and about 20% on fitted
 # ones; on both, a factor near 2 took 15% fewer face iterations than the
 # textbook 4/3.
 _SMOOTHING = 1.85
@@ -214,15 +216,15 @@ def _generalized_inverse(C: np.ndarray) -> np.ndarray:
     return -0.5 * (G + G.T)
 
 
-def _vertex_levels(L, bound: float):
+def _vertex_levels(L):
     """Smoothed-aggregation hierarchy of L, and a generalized inverse of
     its coarsest level.
 
     A level is (operator, Jacobi weights, prolongation, restriction). The
     prolongation smooths the aggregates' indicator vectors by one damped
     Jacobi step, so it keeps L's constants; the next operator is the
-    Galerkin product. `bound` bounds lambda_max(D^-1 L) on the first level;
-    the coarser levels use Gershgorin's bound.
+    Galerkin product. Every level bounds its lambda_max(D^-1 L) by
+    Gershgorin, max_i sum_j |l_ij| / l_ii.
     """
     levels = []
     while L.shape[0] > _COARSE_DOFS:
@@ -231,9 +233,7 @@ def _vertex_levels(L, bound: float):
         if n_agg == n:
             break
         smooth = _inverse_diagonal(L)
-        if levels:
-            bound = float((smooth * (abs(L) @ np.ones(n))).max())
-        smooth *= _SMOOTHING / bound
+        smooth *= _SMOOTHING / float((smooth * (abs(L) @ np.ones(n))).max())
         T = sp.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, n_agg))
         P = (T - sp.diags(smooth) @ (L @ T)).tocsr()
         levels.append((L, smooth, P.__matmul__, P.T.__matmul__))
@@ -271,9 +271,9 @@ def auxiliary_space_cycle(A, P, L, bound: float):
         vertex values, on the vertices the vertex operator keeps (for a
         boundary-constrained system, the interior faces and vertices)
     L : CSR of the vertex operator P^T A P
-    bound : upper bound on lambda_max(D^-1 A) and lambda_max(D^-1 L)
+    bound : upper bound on lambda_max(D^-1 A) of the face system only
     """
-    levels, coarse = _vertex_levels(L, bound)
+    levels, coarse = _vertex_levels(L)
     face = (A, _SMOOTHING / bound * _inverse_diagonal(A), P.__matmul__,
             P.T.__matmul__)
     return functools.partial(_v_cycle, [face] + levels, coarse)

@@ -80,7 +80,8 @@ def test_engine_assembles_each_space_once(ball_tiny, monkeypatch):
 
 def test_rhs_zero_field(two_tet):
     tables, dof_edge, _ = h.build_element_tables(two_tet)
-    b = h.assemble_rhs(h.Pcvf.zero(two_tet), tables, dof_edge)
+    zero = h.Pcvf(two_tet, np.zeros((two_tet.n_t, 3)))
+    b = h.assemble_rhs(zero, tables, dof_edge)
     assert (b == 0.0).all()
 
 

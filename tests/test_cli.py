@@ -214,6 +214,38 @@ def test_sweep_bad_voxel_size_stops_before_any_level(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels, message", [
+    (["--h", "0.5", "--rho-levels", "0.1,0.1000001"],
+     "sweep levels 0.1 and 0.1000001 share the label 'rho_0.1'"),
+    (["--h", "0.5,0.5"], "sweep levels 0.5 and 0.5 share the label 'h_0.5'")],
+    ids=["rho", "h"])
+def test_sweep_levels_sharing_a_label_stop_before_any_level(
+        tmp_path, capsys, levels, message):
+    # both levels would write to one directory, and under HODGE3D_THREADS
+    # > 1 at the same time
+    out = tmp_path / "s"
+    assert main(["sweep", "--domain", "ball", *levels, "--field", "X0",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dims", "--which", ""], "--which needs at least one subspace"),
+    (["dims", "--which", ",,"], "--which needs at least one subspace"),
+    (["sweep", "--field", "X0", "--rho-levels", ","],
+     "--rho-levels needs at least one level")],
+    ids=["which_empty", "which_commas", "rho_levels_comma"])
+def test_list_flag_that_parses_to_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "s"
+    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    assert main([*argv, "--domain", "ball", "--h", "0.5", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sweep_file_field_transfer(tmp_path, ball_tiny):
     # a per-tet field written on one mesh drives a resolution sweep via
     # nearest-barycenter transfer

@@ -87,7 +87,8 @@ def test_combine_identities(ball_coarse):
     Y = h.sample_analytic(ball_coarse, "X1")
     zero = h.combine(X, X, 1.0, -1.0)
     assert (zero.vectors == 0.0).all()
-    doubled = h.combine(X, h.Pcvf.zero(ball_coarse), 2.0, 0.0)
+    doubled = h.combine(X, h.Pcvf(ball_coarse, np.zeros((ball_coarse.n_t, 3))),
+                        2.0, 0.0)
     assert (doubled.vectors == 2.0 * X.vectors).all()
     s = h.combine(h.combine(X, Y), h.sample_analytic(ball_coarse, "X2"))
     assert np.allclose(s.vectors, h.sample_analytic(ball_coarse, "X012").vectors,

@@ -68,7 +68,8 @@ def test_mesh_identity_enforced(torus_engine, ball_coarse):
 
 
 def test_zero_field_all_zero_flags(torus_engine):
-    r = torus_engine.decompose(h.Pcvf.zero(torus_engine.mesh), "FULL")
+    mesh = torus_engine.mesh
+    r = torus_engine.decompose(h.Pcvf(mesh, np.zeros((mesh.n_t, 3))), "FULL")
     assert all(r.zero_flags.values())
     assert r.input_sq_norm == 0.0
     assert all(v == 0.0 for v in r.fractions().values())
