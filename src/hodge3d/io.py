@@ -111,9 +111,8 @@ _TOKEN = re.compile(r"\S+")
 def _parse_vtk(path: str):
     """Parse a VTK legacy ASCII unstructured grid of tetrahedra.
 
-    Returns (points, cells (vertex indices of all cells in one flat
-    array), cell_types, cell_vectors{name: array},
-    point_vectors{name: array}).
+    Returns (points, tets (n, 4) or None when the file has no grid,
+    cell_vectors{name: array}, point_vectors{name: array}).
     """
     with open(path, "r") as f:
         head = _LINE_END.split(f.read(), 3)  # 3 header lines and the body
@@ -175,6 +174,7 @@ def _parse_vtk(path: str):
                 raise ts.error(f"vertex index {raw[bad[0]]} out of range "
                                f"(file has {len(points)} points)", first + bad[0])
             cells, cell_sizes = raw[is_index], raw[starts]
+            cell_types = None  # a grid's CELL_TYPES follows its CELLS
         elif kw == "CELL_TYPES":
             if cells is None:
                 raise ts.error("CELL_TYPES before CELLS")
@@ -227,11 +227,13 @@ def _parse_vtk(path: str):
         else:
             raise ts.error(f"unexpected token '{kw}'")
 
-    return points, cells, cell_types, cell_vectors, point_vectors
+    tets = None if cell_types is None else cells.reshape(-1, 4)
+    return points, tets, cell_vectors, point_vectors
 
 
 def _parse_msh(path: str):
-    """Parse nodes and tetrahedra from a Gmsh MSH 4.1 ASCII file.
+    """Parse nodes and tetrahedra from a Gmsh MSH 4.1 ASCII file, in the
+    shape `_parse_vtk` returns; the file holds no vectors.
 
     Entity blocks of dimension below 3 (boundary points/curves/surfaces)
     are skipped; volume blocks must contain 4-node tets.
@@ -324,7 +326,7 @@ def _parse_msh(path: str):
     if (idx >= len(tags_sorted)).any() or \
             (tags_sorted[np.minimum(idx, len(tags_sorted) - 1)] != tet_tags).any():
         raise ParseError("element references unknown node tag", path, 1)
-    return xyz[order], idx
+    return xyz[order], idx, {}, {}
 
 
 # node counts of the Gmsh element types we may need to skip
@@ -339,29 +341,29 @@ def _compact(points: np.ndarray, tets: np.ndarray):
     return points[used], remap[tets]
 
 
-def _format_of(path: str) -> str:
-    """The mesh format that the extension of `path` names."""
+def _parse(path: str):
+    """`_parse_vtk` or `_parse_msh` of `path`, as its extension picks:
+    .vtk (or none) for VTK, .msh for Gmsh."""
     ext = os.path.splitext(path)[1].lower()
-    format = {"": "vtk_legacy", ".vtk": "vtk_legacy",
-              ".msh": "gmsh_msh"}.get(ext)
-    if format is None:
+    parse = {"": _parse_vtk, ".vtk": _parse_vtk, ".msh": _parse_msh}.get(ext)
+    if parse is None:
         raise ParseError(f"cannot infer format from extension '{ext}'", path)
-    return format
+    return parse(path)
 
 
-def _vtk_mesh(path: str, points, cells, cell_types) -> TetMesh:
-    """The mesh of a parsed VTK file (`_parse_vtk`)."""
-    if cell_types is None:
+def _mesh_of(path: str, points, tets) -> TetMesh:
+    """The mesh of a parsed file (`_parse`)."""
+    if tets is None:
         raise ParseError("file lacks POINTS, CELLS or CELL_TYPES", path)
-    if len(cell_types) == 0:
+    if len(tets) == 0:
         raise ParseError("empty mesh (no cells)", path)
-    return build_complex(*_compact(points, cells.reshape(-1, 4)))
+    return build_complex(*_compact(points, tets))
 
 
-def _vtk_field(path: str, mesh: TetMesh, parsed: tuple,
-               resample: str | None) -> Pcvf:
-    """The field for `mesh` of a VTK file parsed by `_parse_vtk`."""
-    points, cells, _, cell_vectors, point_vectors = parsed
+def _field_of(path: str, mesh: TetMesh, parsed: tuple,
+              resample: str | None) -> Pcvf:
+    """The field for `mesh` of a parsed file (`_parse`)."""
+    points, tets, cell_vectors, point_vectors = parsed
     if cell_vectors:
         name = next(iter(cell_vectors))
         arr = cell_vectors[name]
@@ -374,8 +376,8 @@ def _vtk_field(path: str, mesh: TetMesh, parsed: tuple,
         if resample != "barycentric":
             raise FieldError("file contains point data; pass "
                              "resample='barycentric' to average it onto tets")
-        if cells is not None and len(arr) == len(points) != mesh.n_v:
-            arr = arr[np.unique(cells)]  # the points that _compact keeps
+        if tets is not None and len(arr) == len(points) != mesh.n_v:
+            arr = arr[np.unique(tets)]  # the points that _compact keeps
         if len(arr) != mesh.n_v:
             raise FieldError(f"point vector field '{name}' has {len(arr)} entries, "
                              f"mesh has {mesh.n_v} vertices")
@@ -395,13 +397,12 @@ def read_mesh(path) -> TetMesh:
     are dropped.
     """
     path = os.fspath(path)
-    if _format_of(path) == "vtk_legacy":
-        return _vtk_mesh(path, *_parse_vtk(path)[:3])
-    return build_complex(*_compact(*_parse_msh(path)))
+    return _mesh_of(path, *_parse(path)[:2])
 
 
 def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
-    """Read a vector field for `mesh` from a VTK legacy file.
+    """Read a vector field for `mesh` from a file that read_mesh reads; of
+    the two formats only VTK legacy holds vectors.
 
     Cell data (one vector per tet) loads directly. Point data is only
     accepted with resample="barycentric", which averages the four vertex
@@ -409,20 +410,17 @@ def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
     is never applied silently.
     """
     path = os.fspath(path)
-    return _vtk_field(path, mesh, _parse_vtk(path), resample)
+    return _field_of(path, mesh, _parse(path), resample)
 
 
 def _read_mesh_and_field(path, resample: str | None = None):
     """`mesh = read_mesh(path)` and `read_field(path, mesh, resample)`, with
-    one parse of a VTK file. Errors come in the same order, with the same
+    one parse of the file. Errors come in the same order, with the same
     messages and lines, as from the two calls."""
     path = os.fspath(path)
-    if _format_of(path) != "vtk_legacy":
-        mesh = read_mesh(path)
-        return mesh, read_field(path, mesh, resample)
-    parsed = _parse_vtk(path)
-    mesh = _vtk_mesh(path, *parsed[:3])
-    return mesh, _vtk_field(path, mesh, parsed, resample)
+    parsed = _parse(path)
+    mesh = _mesh_of(path, *parsed[:2])
+    return mesh, _field_of(path, mesh, parsed, resample)
 
 
 def _rows(fmt: str, arr: np.ndarray) -> str:

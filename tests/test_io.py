@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 import hodge3d as h
 from hodge3d import io as h_io
 from hodge3d.cli import main
-from hodge3d.errors import FieldError, MeshError, ParseError
+from hodge3d.errors import FieldError, Hodge3dError, MeshError, ParseError
 
 from oracles import write_gmsh41
 
@@ -425,6 +427,59 @@ def test_read_field_requires_vectors(tmp_path, ref_tet):
     p.write_text(GOLDEN_TET)
     with pytest.raises(FieldError, match="VECTORS"):
         h.read_field(p, ref_tet)
+
+
+def test_gmsh_file_as_field_has_no_vectors(tmp_path, ref_tet, capsys):
+    p = tmp_path / "m.msh"
+    p.write_text(MSH_TET)
+    message = f"no VECTORS array found in '{p}'"
+    with pytest.raises(FieldError) as exc:
+        h.read_field(p, ref_tet)
+    assert str(exc.value) == message
+    assert main(["decompose", "--mesh", str(p), "--field", f"file:{p}",
+                 "--scheme", "fd"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_read_field_takes_the_extensions_read_mesh_takes(tmp_path, ref_tet):
+    p = tmp_path / "f.dat"
+    p.write_text(GOLDEN_TET + "CELL_DATA 1\nVECTORS v double\n0.0 0.0 1.0\n")
+    for read in (h.read_mesh, lambda path: h.read_field(path, ref_tet)):
+        with pytest.raises(ParseError) as exc:
+            read(p)
+        assert str(exc.value) == f"{p}: cannot infer format from extension '.dat'"
+
+
+def _mutants(text):
+    """`text` with one token dropped, doubled, cut to its first half or
+    replaced by a non-number, for every token and every change."""
+    for m in re.finditer(r"\S+", text):
+        a, b, tok = m.start(), m.end(), m.group()
+        for new in ("", f"{tok} {tok}", tok[:len(tok) // 2], "x"):
+            yield text[:a] + new + text[b:]
+
+
+@pytest.mark.parametrize("ext, text", [
+    (".vtk", GOLDEN_TET + "CELL_DATA 1\nVECTORS v double\n0.25 -0.5 1.0\n"),
+    (".msh", MSH_TET),
+], ids=["vtk", "msh"])
+def test_mutated_files_load_or_raise_an_error_naming_them(tmp_path, ext, text):
+    # 100 seeded mutants per format; each reader either loads the file or
+    # raises a Hodge3dError that names it, never another exception
+    mutants = random.Random(17).sample(list(_mutants(text)), 100)
+    base = tmp_path / f"base{ext}"
+    base.write_text(text)
+    mesh = h.read_mesh(base)
+    readers = (h.read_mesh, lambda p: h.read_field(p, mesh),
+               h_io._read_mesh_and_field)
+    for i, mutant in enumerate(mutants):
+        p = tmp_path / f"m{i}{ext}"
+        p.write_text(mutant)
+        for read in readers:
+            try:
+                read(p)
+            except Hodge3dError as exc:
+                assert str(p) in str(exc), (mutant, exc)
 
 
 def test_report_schema_and_fractions(torus_engine):
