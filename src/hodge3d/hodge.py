@@ -291,14 +291,24 @@ class HodgeDecomposer:
                                  converged=True)
         else:
             M = self._cycle(constrained) if space == "grad" else None
+            kernel = self._face_solid() if space == "grad" and not constrained \
+                else None
             coeff[free], report = solve_spsd(
                 self._gram(space, constrained), b[free], tol=self.tol,
-                max_iter=self.max_iter, atol=atol, M=M)
+                max_iter=self.max_iter, atol=atol, M=M, kernel=kernel)
             if not report.converged:
                 raise ConvergenceError(stage, report)
         if reports is not None:
             reports.append((stage, report))
         return reconstruct(self.mesh, self.tables, dofmap, coeff)
+
+    def _face_solid(self) -> np.ndarray:
+        """The connected solid of every face; the constants on each solid's
+        faces span the kernel of the unconstrained face Gram."""
+        solid = self.mesh._tet_forest[1]
+        face_solid = np.empty(self.mesh.n_f, dtype=solid.dtype)
+        face_solid[self.mesh.tet_faces] = solid[:, None]
+        return face_solid
 
     def _surface_lifts(self):
         """Gradients of the CR functions that are 1 on the faces of one
@@ -307,10 +317,8 @@ class HodgeDecomposer:
         constant, whose gradient vanishes)."""
         mesh = self.mesh
         bfaces, label, _, n_surf = mesh._boundary_surfaces
-        solid = mesh._tet_forest[1]
-        face_solid = np.empty(mesh.n_f, dtype=solid.dtype)
-        face_solid[mesh.tet_faces] = solid[:, None]
-        surface_solid = np.empty(n_surf, dtype=solid.dtype)
+        face_solid = self._face_solid()
+        surface_solid = np.empty(n_surf, dtype=face_solid.dtype)
         surface_solid[label] = face_solid[bfaces]
         unlifted = np.unique(surface_solid, return_index=True)[1]
         for s in np.setdiff1d(np.arange(n_surf), unlifted):

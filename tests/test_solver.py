@@ -180,6 +180,45 @@ def test_preconditioned_projection_matches_jacobi(request, engine_name):
         assert err <= 1e-9, (constrained, err)          # seen: 2e-12
 
 
+def test_kernel_labels_filter_each_solids_constant():
+    # an rhs with a constant on one solid's faces: that constant lies in the
+    # kernel, so the solve must drop it and return the projection of the
+    # rest. One label for both solids cannot remove it.
+    ball = h.generate_voxel_domain("ball", 0.5)
+    mesh = disjoint_union(ball, ball)
+    engine = h.HodgeDecomposer(mesh)
+    labels = engine._face_solid()
+    assert np.bincount(labels).tolist() == [456, 456]
+    X = h.random_field(mesh, seed=4, normalize=True)
+    b = h.assemble_rhs(X, engine.tables, engine._dof_face)
+    b += 1e-3 * np.linalg.norm(b) * (labels == 1)
+    A, M = engine._gram("grad", False), engine._cycle(False)
+    x, rep = h.solve_spsd(A, b, atol=0.0, M=M, kernel=labels)
+    assert rep.converged
+    Q = h.reconstruct(mesh, engine.tables, engine._dof_face, x)
+    P = engine.project_grad(X, constrained=False)
+    assert np.sqrt(h.sq_norm(h.combine(P, Q, 1.0, -1.0))) <= 1e-9  # seen: 1e-12
+    _, rep = h.solve_spsd(A, b, atol=0.0, M=M, kernel=np.zeros_like(labels))
+    assert not rep.converged
+    with pytest.raises(ValueError, match="kernel must have shape"):
+        h.solve_spsd(A, b, M=M, kernel=labels[1:])
+
+
+def test_unconstrained_face_solve_reaches_tol_at_116k_tets():
+    # rounding puts kernel components into the updated residual; without
+    # the kernel labels this solve took 106 iterations to reach tol
+    mesh = h.generate_voxel_domain("ball", 0.06)
+    assert mesh.n_t > 100_000
+    engine = h.HodgeDecomposer(mesh)
+    b = h.assemble_rhs(h.sample_analytic(mesh, "X2"), engine.tables,
+                       engine._dof_face)
+    _, rep = h.solve_spsd(engine._gram("grad", False), b, tol=engine.tol,
+                          atol=0.0, M=engine._cycle(False),
+                          kernel=engine._face_solid())
+    assert rep.converged
+    assert rep.iterations <= 60  # seen: 53
+
+
 def test_face_cycle_iterations_barely_grow():
     # Jacobi's count grows like 1/h (254 -> 459 unconstrained); the cycle's
     # grows 42 -> 49
