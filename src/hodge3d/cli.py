@@ -8,9 +8,9 @@ parsed arguments. `_check` applies every flag rule that needs no mesh
 before a mesh is built; generate_voxel_domain checks --h and the domain
 parameters, and `dims` checks --probes against the mesh's topology.
 `_build_inputs` alone puts a decomposition's mesh and field together. Exit
-codes: 0 success, 1 input error (a bad flag value included), 2 solver
-non-convergence. All randomness flows through explicit --seed flags;
-HODGE3D_THREADS caps sweep workers.
+codes: 0 success, 1 input error (a bad flag value included) or a failed
+allocation, 2 solver non-convergence. All randomness flows through
+explicit --seed flags; HODGE3D_THREADS caps sweep workers.
 """
 
 import argparse
@@ -389,6 +389,8 @@ def _check(ns):
     _require("--tol", ns.tol, 0, strict=True)
     if ns.max_iter is not None:
         _require("--max-iter", ns.max_iter, 1)
+    if getattr(ns, "formats", None) == ():
+        raise _UsageError("--formats needs at least one format")
     unknown = sorted(set(getattr(ns, "formats", ())) - {"vtk", "json"})
     if unknown:
         raise _UsageError(f"unknown output format '{unknown[0]}' "
@@ -437,6 +439,9 @@ def main(argv=None) -> int:
         return 2
     except (_UsageError, Hodge3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

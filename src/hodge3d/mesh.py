@@ -5,6 +5,7 @@ classification, per-tet geometry, topology invariants, and voxel-based
 generation of the built-in test domains.
 """
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -582,7 +583,8 @@ def generate_voxel_domain(domain: str, h: float, fit: str = "surface",
     ------
     MeshError
         If h is not positive, or a domain parameter is unknown, out of
-        range or not finite.
+        range or not finite, or if the lattice would have 2**63 corners
+        or more.
     TopologyError
         If the voxelization is empty or its Betti numbers do not match the
         declared topology of the domain (h too coarse).
@@ -597,6 +599,13 @@ def generate_voxel_domain(domain: str, h: float, fit: str = "surface",
         raise MeshError(f"unknown parameters for domain '{domain}': {sorted(params)}")
     if not np.isfinite(half_extent).all():
         raise MeshError(f"the size parameters of domain '{domain}' must be finite")
+    # the corner keys below are int64; an axis spans 2 ceil(ext / h) + 5
+    # corners
+    spans = [float(ext) / float(h) for ext in half_extent]
+    if not all(map(math.isfinite, spans)) or \
+            math.prod(2 * math.ceil(s) + 5 for s in spans) >= 2**63:
+        raise MeshError(f"h={h} is too small for domain '{domain}': its "
+                        "lattice would have 2**63 corners or more")
 
     lo = [int(np.floor(-ext / h)) - 1 for ext in half_extent]
     hi = [int(np.ceil(ext / h)) + 1 for ext in half_extent]

@@ -234,16 +234,35 @@ def test_sweep_levels_sharing_a_label_stop_before_any_level(
     (["dims", "--which", ""], "--which needs at least one subspace"),
     (["dims", "--which", ",,"], "--which needs at least one subspace"),
     (["sweep", "--field", "X0", "--rho-levels", ","],
-     "--rho-levels needs at least one level")],
-    ids=["which_empty", "which_commas", "rho_levels_comma"])
+     "--rho-levels needs at least one level"),
+    (["decompose", "--field", "X0", "--formats", ""],
+     "--formats needs at least one format")],
+    ids=["which_empty", "which_commas", "rho_levels_comma", "formats_empty"])
 def test_list_flag_that_parses_to_nothing(tmp_path, capsys, argv, message):
     out = tmp_path / "s"
-    extra = ["--out", str(out)] if argv[0] == "sweep" else []
+    extra = ["--out", str(out)] if argv[0] != "dims" else []
     assert main([*argv, "--domain", "ball", "--h", "0.5", *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--h", "1e-7"], "error: h=1e-07 is too small for domain 'ball': its "
+                      "lattice would have 2**63 corners or more\n"),
+    (["--h", "1e-300"], "error: h=1e-300 is too small for domain 'ball'"),
+    (["--h", "5e-324"], "error: h=5e-324 is too small for domain 'ball'"),
+    (["--h", "0.5", "--radius", "1e9"],
+     "error: h=0.5 is too small for domain 'ball'"),
+    # within the int64 keys, but the lattice asks for 455 PiB at once
+    (["--h", "0.5", "--radius", "1e5"], "error: out of memory: "),
+], ids=["h_1e-7", "h_1e-300", "h_denormal", "radius_1e9", "radius_1e5"])
+def test_huge_lattice_is_an_input_error(capsys, args, message):
+    assert main(["decompose", "--domain", "ball", *args, "--field", "X0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
 
 
 def test_sweep_file_field_transfer(tmp_path, ball_tiny):
