@@ -62,15 +62,19 @@ def assemble_gram(mesh: TetMesh, tables: ElementTables,
     # COO indices in the dtype scipy keeps, so it makes no converted copies
     dofs = dofmap.tet_to_dof.astype(np.int32 if n < 2**31 else np.int64)
 
-    acc = sp.csr_matrix((n, n))
+    acc = None
     for start in range(0, mesh.n_t, _CHUNK):
         sl = slice(start, min(start + _CHUNK, mesh.n_t))
         d = table[sl]
-        blocks = mesh.volumes[sl, None, None] * np.einsum("tld,tmd->tlm", d, d)
+        blocks = np.einsum("tld,tmd->tlm", d, d)
+        blocks *= mesh.volumes[sl, None, None]
         rows = np.broadcast_to(dofs[sl][:, :, None], blocks.shape).ravel()
         cols = np.broadcast_to(dofs[sl][:, None, :], blocks.shape).ravel()
-        acc = acc + sp.coo_matrix((blocks.ravel(), (rows, cols)),
-                                  shape=(n, n)).tocsr()
+        part = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        del blocks, rows, cols
+        acc = part if acc is None else acc + part
+    # a sum drops the zeros it makes; the first chunk's are dropped here
+    acc.eliminate_zeros()
     acc.sum_duplicates()
     acc.sort_indices()
     return SparseSymMatrix(csr=acc)

@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from .assembly import (SparseSymMatrix, _table_for, assemble_gram,
                        assemble_rhs, reconstruct)
 from .errors import ConvergenceError, FieldError
-from .fem import build_element_tables
+from .fem import _chunks, build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
 from .mesh import _LOCAL_EDGES, TetMesh, _interior_face_tets, betti_numbers
 from .solver import SolveReport, auxiliary_space_cycle, solve_spsd
@@ -170,8 +170,8 @@ def _smoothing_bound(tables) -> float:
     """
     sq = 0.0
     # in chunks of tets, so that the temporaries stay small
-    for start in range(0, len(tables.cr_gradients), 4096):
-        g = tables.cr_gradients[start:start + 4096]
+    for sl in _chunks(len(tables.cr_gradients)):
+        g = tables.cr_gradients[sl]
         u = g / np.linalg.norm(g, axis=2, keepdims=True)
         S = np.einsum("tkd,tke->tde", u, u)
         sq = max(sq, float(np.einsum("tde,tde->t", S, S).max()))

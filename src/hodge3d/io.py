@@ -11,6 +11,7 @@ import itertools
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 
@@ -28,7 +29,27 @@ SCHEMA_VERSION = 1
 _VTK_TET = 10
 
 
-class _Tokens:
+class _Source:
+    """A whitespace token stream, as the file grammars read it."""
+
+    def next_int(self) -> int:
+        tok = self.next()
+        try:
+            return int(tok)
+        except ValueError:
+            raise self.error(f"expected integer, got '{tok}'",
+                             self.pos - 1) from None
+
+    def next_count(self) -> int:
+        """The next integer, which must not be negative: a negative count
+        would move the cursor backwards."""
+        n = self.next_int()
+        if n < 0:
+            raise self.error(f"negative count {n}", self.pos - 1)
+        return n
+
+
+class _Tokens(_Source):
     """Whitespace token stream over `text`, which follows `skipped` header
     lines of the file. Line numbers (counted as str.splitlines counts
     lines) are worked out only when an error is raised."""
@@ -65,22 +86,6 @@ class _Tokens:
     def peek(self) -> str | None:
         return None if self.done() else self.toks[self.pos]
 
-    def next_int(self) -> int:
-        tok = self.next()
-        try:
-            return int(tok)
-        except ValueError:
-            raise self.error(f"expected integer, got '{tok}'",
-                             self.pos - 1) from None
-
-    def next_count(self) -> int:
-        """The next integer, which must not be negative: a negative count
-        would move the cursor backwards."""
-        n = self.next_int()
-        if n < 0:
-            raise self.error(f"negative count {n}", self.pos - 1)
-        return n
-
     def take(self, n: int, dtype) -> np.ndarray:
         if self.pos + n > len(self.toks):
             raise self.error(f"expected {n} more values, file ended")
@@ -95,6 +100,66 @@ class _Tokens:
         return out
 
 
+class _Irregular(Exception):
+    """`_Cursor` met input that it does not read the way `_Tokens` does."""
+
+
+class _Cursor(_Source):
+    """Token source over `text` that makes no string per value: a numeric
+    section, which runs to the first token with a character no number
+    has (a keyword, say), is one `np.fromstring` call. It returns only
+    what `_Tokens` returns for the same text. On anything else, an error
+    of the file included, it raises `_Irregular`, and the caller parses
+    again with `_Tokens`, whose messages name the line."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0  # character offset just past the last token read
+
+    def error(self, msg: str, i: int | None = None) -> _Irregular:
+        return _Irregular()
+
+    def done(self) -> bool:
+        return _TOKEN.search(self.text, self.pos) is None
+
+    def next(self) -> str:
+        m = _TOKEN.search(self.text, self.pos)
+        if m is None:
+            raise _Irregular()
+        self.pos = m.end()
+        return m.group()
+
+    def peek(self) -> str | None:
+        m = _TOKEN.search(self.text, self.pos)
+        return None if m is None else m.group()
+
+    def take(self, n: int, dtype) -> np.ndarray:
+        text, start = self.text, self.pos
+        m = _NON_NUMERIC.search(text, start)
+        end = len(text) if m is None else m.start()
+        while start < end < len(text) and not text[end - 1].isspace():
+            end -= 1  # back to the start of the token
+        section = text[start:end]
+        if not section or section.isspace():
+            out = np.empty(0, dtype=dtype)  # fromstring would make a value
+        elif dtype is np.int64 and ("-" in section or "+" in section):
+            raise _Irregular()  # fromstring reads a lone sign as 0
+        else:
+            # numpy 1.x warns and returns what it read up to a bad token
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    out = np.fromstring(section, dtype=dtype, sep=" ")
+                except (ValueError, Warning):
+                    raise _Irregular() from None
+        if len(out) != n:
+            raise _Irregular()
+        if dtype is np.int64 and n and out.max() == np.iinfo(np.int64).max:
+            raise _Irregular()  # fromstring saturates where int() overflows
+        self.pos = end
+        return out
+
+
 def _converts(tok: str, dtype) -> bool:
     try:
         np.array(tok, dtype=dtype)
@@ -106,6 +171,8 @@ def _converts(tok: str, dtype) -> bool:
 # the line breaks of str.splitlines, and a token of str.split
 _LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _TOKEN = re.compile(r"\S+")
+# a character that no number holds
+_NON_NUMERIC = re.compile(r"[^0-9\s.eE+\-]")
 
 
 def _parse_vtk(path: str):
@@ -131,7 +198,15 @@ def _parse_vtk(path: str):
         raise ParseError(f"unsupported VTK format '{head[2].strip()}' "
                          "(only ASCII legacy files)", path, 3)
 
-    ts = _Tokens(body, path, skipped=3)
+    try:
+        return _vtk_sections(_Cursor(body))
+    except _Irregular:
+        return _vtk_sections(_Tokens(body, path, skipped=3))
+
+
+def _vtk_sections(ts: _Source):
+    """The grid and data sections of a VTK body, as `_parse_vtk` returns
+    them, read from the token source `ts`."""
     points = np.zeros((0, 3))
     cells = None
     cell_types = None

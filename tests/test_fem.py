@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hodge3d as h
+from hodge3d import fem as h_fem
 
 from conftest import REF_VERTS
 from oracles import hat_gradients_direct, linear_field_circulations
@@ -122,3 +123,36 @@ def test_tables_match_independent_gradients(torus_coarse):
         g = hat_gradients_direct(v)
         np.testing.assert_allclose(tables.cr_gradients[t], -3.0 * g,
                                    rtol=1e-10, atol=1e-12)
+
+
+def test_tables_do_not_depend_on_the_chunk(torus_coarse, monkeypatch):
+    default, _, _ = h.build_element_tables(torus_coarse)
+    monkeypatch.setattr(h_fem, "_CHUNK", 7)
+    chunked, _, _ = h.build_element_tables(torus_coarse)
+    assert np.array_equal(chunked.cr_gradients, default.cr_gradients)
+    assert np.array_equal(chunked.ned_curls, default.ned_curls)
+
+
+def test_ned_curls_are_built_once_on_first_read(ball_coarse, monkeypatch):
+    calls = []
+    gradients = h_fem._gradients
+
+    def counted(vertices, tets):
+        calls.append(len(tets))
+        return gradients(vertices, tets)
+
+    monkeypatch.setattr(h_fem, "_gradients", counted)
+    engine = h.HodgeDecomposer(ball_coarse)
+    # an FD or FULL on a ball reads no curl: only cr_gradients are built
+    for scheme in ("FD", "FULL"):
+        full = engine.decompose(h.sample_analytic(ball_coarse, "X012"), scheme)
+        assert sum(calls) == ball_coarse.n_t
+        assert "ned_curls" not in vars(engine.tables)
+    # its curly gradient's membership check projects onto the curl space
+    assert engine.verify(full).passed
+    assert sum(calls) == 2 * ball_coarse.n_t
+    curls = engine.tables.ned_curls
+    assert not curls.flags.writeable
+    assert engine.verify(full).passed
+    assert sum(calls) == 2 * ball_coarse.n_t
+    assert engine.tables.ned_curls is curls

@@ -4,6 +4,8 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +482,130 @@ def test_mutated_files_load_or_raise_an_error_naming_them(tmp_path, ext, text):
                 read(p)
             except Hodge3dError as exc:
                 assert str(p) in str(exc), (mutant, exc)
+
+
+def _parse_outcome(path):
+    """`_parse`'s arrays of `path` as bytes, or its error's type and text."""
+    try:
+        points, tets, cell_vectors, point_vectors = h_io._parse(path)
+    except Hodge3dError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (
+        points, tets if tets is not None else np.empty(0),
+        *cell_vectors.values(), *point_vectors.values())], \
+        list(cell_vectors), list(point_vectors)
+
+
+def _no_cursor(text):
+    raise h_io._Irregular()
+
+
+RICH_VTK = (GOLDEN_TET + "CELL_DATA 1\nSCALARS s double 1\nLOOKUP_TABLE default\n"
+            "0.5\nVECTORS v double\n0.25 -0.5 1e-05\nFIELD f 2\na 2 1 double\n"
+            "7.0 8.0\nb 1 1 double\n9.0\n")
+
+FAST_PARSE_CASES = {
+    "saturating_cells": RICH_VTK.replace("4 0 1 2 3", "4 0 1 2 99999999999999999999"),
+    "saturating_cell_types": RICH_VTK.replace("1\n10\n", "1\n99999999999999999999\n"),
+    "underscore": RICH_VTK.replace("1.0 0.0 0.0", "1_000 0.0 0.0"),
+    "nan_points": RICH_VTK.replace("1.0 0.0 0.0", "1.0 nan 0.0"),
+    "inf_points": RICH_VTK.replace("1.0 0.0 0.0", "1.0 0.0 -inf"),
+    "overflow_points": RICH_VTK.replace("1.0 0.0 0.0", "1.0 0.0 1e999"),
+    "nan_vectors": RICH_VTK.replace("0.25 -0.5", "nan -0.5"),
+    "inf_vectors": RICH_VTK.replace("0.25 -0.5", "0.25 inf"),
+    "crlf": RICH_VTK.replace("\n", "\r\n"),
+    "vertical_tab": RICH_VTK.replace("0.0\n0.0", "0.0\v0.0"),
+    "lone_sign": RICH_VTK.replace("4 0 1 2 3", "4 0 1 2 +"),
+    "section_short": RICH_VTK.replace("0.0 1.0 0.0\n", "0.0 1.0\n"),
+    "section_long": RICH_VTK.replace("0.0 1.0 0.0\n", "0.0 1.0 0.0 0.5\n"),
+    "trailing_tokens": RICH_VTK + "7.0 8.0\n",
+    "trailing_word": RICH_VTK + "end\n",
+    # the token "8.0b" is malformed, though "b" could name the next array
+    "glued_name": RICH_VTK.replace("8.0\nb", "8.0b"),
+}
+
+
+@pytest.mark.parametrize("name", FAST_PARSE_CASES)
+def test_fast_parse_agrees_with_the_token_grammar(tmp_path, monkeypatch, name):
+    p = tmp_path / "case.vtk"
+    p.write_bytes(FAST_PARSE_CASES[name].encode())
+    fast = _parse_outcome(str(p))
+    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
+    assert fast == _parse_outcome(str(p))
+
+
+@pytest.mark.parametrize("dtype, section", [
+    (np.int64, " 99999999999999999999\n"), (np.int64, " 9223372036854775807"),
+    (np.int64, " 1 -"), (np.int64, "\n\n"), (np.float64, " 1e999 -1e-999\n"),
+    (np.float64, " 1.5 2.5x"), (np.float64, " 1.5 .2e3"),
+], ids=["saturating", "int64_max", "lone_sign", "blank", "overflow",
+        "glued_letter", "no_leading_digit"])
+def test_cursor_reads_a_section_as_the_tokens_do(dtype, section):
+    # the cursor reads what the tokens read, or defers to them
+    n = len(section.split())
+    try:
+        fast = h_io._Cursor(section).take(n, dtype)
+    except h_io._Irregular:
+        return
+    ts = h_io._Tokens(section, "s.vtk")
+    assert fast.tobytes() == ts.take(n, dtype).tobytes()
+    assert ts.done()
+
+
+def test_fast_parse_agrees_on_every_mutant(tmp_path, monkeypatch):
+    paths = []
+    for i, mutant in enumerate(_mutants(RICH_VTK)):
+        paths.append(tmp_path / f"m{i}.vtk")
+        paths[-1].write_text(mutant)
+    base = tmp_path / "base.vtk"
+    base.write_text(RICH_VTK)
+    fast = [_parse_outcome(str(p)) for p in [base] + paths]
+    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
+    assert fast == [_parse_outcome(str(p)) for p in [base] + paths]
+
+
+def test_fast_parse_falls_back_when_numpy_warns(tmp_path, monkeypatch):
+    # numpy 1.x warns on a malformed token and returns the values before
+    # it; here those are as many as the section declares
+    p = tmp_path / "bad.vtk"
+    p.write_text(RICH_VTK.replace("1e-05", "1e-05-2"))
+    fromstring = np.fromstring
+
+    def numpy1_fromstring(string, dtype=float, sep=""):
+        if "1e-05-2" not in string:
+            return fromstring(string, dtype=dtype, sep=sep)
+        warnings.warn("string or file could not be read to its end due to "
+                      "unmatched data", DeprecationWarning)
+        return fromstring(string.replace("1e-05-2", "1e-05"), dtype=dtype,
+                          sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", numpy1_fromstring)
+    fast = _parse_outcome(str(p))
+    assert fast[0] is ParseError and fast[1].endswith(":19: malformed numeric value")
+    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
+    assert fast == _parse_outcome(str(p))
+
+
+def test_regular_file_is_parsed_without_token_strings(tmp_path, monkeypatch,
+                                                      ball_coarse):
+    p = tmp_path / "ball.vtk"
+    h.write_vtk(p, ball_coarse, {"v": h.sample_analytic(ball_coarse, "X1").vectors})
+    monkeypatch.setattr(h_io, "_Tokens", None)  # any fallback would fail
+    mesh, X = h_io._read_mesh_and_field(p)
+    assert (mesh.tets == ball_coarse.tets).all()
+    assert (X.vectors == h.sample_analytic(ball_coarse, "X1").vectors).all()
+
+
+def test_parse_peak_memory_is_a_few_file_sizes(tmp_path, ball_medium):
+    p = tmp_path / "ball.vtk"
+    h.write_vtk(p, ball_medium, {"v": h.sample_analytic(ball_medium, "X1").vectors})
+    tracemalloc.start()
+    try:
+        h_io._parse(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * p.stat().st_size
 
 
 def test_report_schema_and_fractions(torus_engine):
