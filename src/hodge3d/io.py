@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 
 from ._version import __version__
-from .errors import FieldError, ParseError
+from .errors import FieldError, MeshError, ParseError
 from .fields import Pcvf
 from .hodge import DecompositionResult
 from .mesh import TetMesh, betti_numbers, build_complex
@@ -432,7 +432,10 @@ def _mesh_of(path: str, points, tets) -> TetMesh:
         raise ParseError("file lacks POINTS, CELLS or CELL_TYPES", path)
     if len(tets) == 0:
         raise ParseError("empty mesh (no cells)", path)
-    return build_complex(*_compact(points, tets))
+    try:
+        return build_complex(*_compact(points, tets))
+    except MeshError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _field_of(path: str, mesh: TetMesh, parsed: tuple,
@@ -443,24 +446,25 @@ def _field_of(path: str, mesh: TetMesh, parsed: tuple,
         name = next(iter(cell_vectors))
         arr = cell_vectors[name]
         if len(arr) != mesh.n_t:
-            raise FieldError(f"cell vector field '{name}' has {len(arr)} entries, "
-                             f"mesh has {mesh.n_t} tets")
+            raise FieldError(f"{path}: cell vector field '{name}' has {len(arr)} "
+                             f"entries, mesh has {mesh.n_t} tets")
     elif point_vectors:
         name = next(iter(point_vectors))
         arr = point_vectors[name]
         if resample != "barycentric":
-            raise FieldError("file contains point data; pass "
+            raise FieldError(f"{path}: file contains point data; pass "
                              "resample='barycentric' to average it onto tets")
         if tets is not None and len(arr) == len(points) != mesh.n_v:
             arr = arr[np.unique(tets)]  # the points that _compact keeps
         if len(arr) != mesh.n_v:
-            raise FieldError(f"point vector field '{name}' has {len(arr)} entries, "
-                             f"mesh has {mesh.n_v} vertices")
+            raise FieldError(f"{path}: point vector field '{name}' has {len(arr)} "
+                             f"entries, mesh has {mesh.n_v} vertices")
         arr = arr[mesh.tets].mean(axis=1)
     else:
         raise FieldError(f"no VECTORS array found in '{path}'")
     if not np.isfinite(arr).all():
-        raise FieldError(f"vector field '{name}' contains NaN or Inf entries")
+        raise FieldError(f"{path}: vector field '{name}' contains NaN or Inf "
+                         "entries")
     return Pcvf(mesh, arr)
 
 

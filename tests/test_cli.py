@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import hodge3d as h
@@ -300,6 +301,19 @@ def test_file_field_on_renumbered_mesh(tmp_path, ball_coarse, ball_engine,
     want = ball_engine.decompose(h.sample_analytic(ball_coarse, "X1"),
                                  "FD").fractions()
     assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_bad_field_file_is_named_beside_a_good_mesh_file(tmp_path, capsys,
+                                                        ball_tiny):
+    mesh_file, field_file = tmp_path / "a.vtk", tmp_path / "b.vtk"
+    h.write_vtk(mesh_file, ball_tiny)
+    vectors = h.sample_analytic(ball_tiny, "X1").vectors.copy()
+    vectors[3, 1] = np.nan
+    h.write_vtk(field_file, ball_tiny, {"v": vectors})
+    assert main(["decompose", "--mesh", str(mesh_file), "--field",
+                 f"file:{field_file}", "--scheme", "fd"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {field_file}: vector field 'v' contains NaN or Inf entries\n")
 
 
 def test_point_data_requires_flag(tmp_path, ref_tet):

@@ -233,8 +233,10 @@ def test_bad_vector_in_shared_file_names_its_line(tmp_path, capsys):
 def test_non_finite_vertices_are_rejected(tmp_path, capsys, name, text):
     p = tmp_path / name
     p.write_text(text)
-    with pytest.raises(MeshError, match="vertex 1 has a non-finite coordinate"):
+    with pytest.raises(MeshError, match="vertex 1 has a non-finite coordinate") \
+            as exc:
         h.read_mesh(p)
+    assert str(exc.value).startswith(f"{p}: ")
     assert main(["decompose", "--mesh", str(p), "--field", "X0",
                  "--scheme", "fd"]) == 1
     assert "non-finite" in capsys.readouterr().err
@@ -454,10 +456,11 @@ def test_read_field_takes_the_extensions_read_mesh_takes(tmp_path, ref_tet):
 
 def _mutants(text):
     """`text` with one token dropped, doubled, cut to its first half or
-    replaced by a non-number, for every token and every change."""
+    replaced by a non-number, a NaN or -1, for every token and every
+    change."""
     for m in re.finditer(r"\S+", text):
         a, b, tok = m.start(), m.end(), m.group()
-        for new in ("", f"{tok} {tok}", tok[:len(tok) // 2], "x"):
+        for new in ("", f"{tok} {tok}", tok[:len(tok) // 2], "x", "nan", "-1"):
             yield text[:a] + new + text[b:]
 
 
