@@ -71,7 +71,6 @@ def assemble_gram(mesh: TetMesh, tables: ElementTables,
         rows = np.broadcast_to(dofs[sl][:, :, None], blocks.shape).ravel()
         cols = np.broadcast_to(dofs[sl][:, None, :], blocks.shape).ravel()
         part = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        del blocks, rows, cols
         acc = part if acc is None else acc + part
     # a sum drops the zeros it makes; the first chunk's are dropped here
     acc.eliminate_zeros()
