@@ -6,7 +6,7 @@ Nedelec edge function are constant on every tet. Only these derivative
 tables are built; basis values are never needed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +39,7 @@ class DofMap:
 class ElementTables:
     """Per-tet constant derivative vectors of the two basis families.
 
+    mesh : the mesh whose tets the rows follow
     cr_gradients : (n_t, 4, 3) gradient of the face-barycenter basis
         function associated with the face opposite local vertex k;
         equals -3 * grad(phi_k).
@@ -49,7 +50,7 @@ class ElementTables:
         and the cut fields of a mesh with tunnels read it.
     """
 
-    mesh: TetMesh = field(repr=False)
+    mesh: TetMesh
     cr_gradients: np.ndarray
 
     @cached_property
