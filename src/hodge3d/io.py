@@ -7,7 +7,6 @@ floats are written with shortest round-trip repr.
 """
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -29,135 +28,120 @@ SCHEMA_VERSION = 1
 _VTK_TET = 10
 
 
-class _Source:
-    """A whitespace token stream, as the file grammars read it."""
-
-    def next_int(self) -> int:
-        tok = self.next()
-        try:
-            return int(tok)
-        except ValueError:
-            raise self.error(f"expected integer, got '{tok}'",
-                             self.pos - 1) from None
-
-    def next_count(self) -> int:
-        """The next integer, which must not be negative: a negative count
-        would move the cursor backwards."""
-        n = self.next_int()
-        if n < 0:
-            raise self.error(f"negative count {n}", self.pos - 1)
-        return n
-
-
-class _Tokens(_Source):
+class _Tokens:
     """Whitespace token stream over `text`, which follows `skipped` header
-    lines of the file. Line numbers (counted as str.splitlines counts
-    lines) are worked out only when an error is raised."""
+    lines of the file. It walks the text by character offset and makes no
+    string per value of a section that `_fast_values` reads. Line numbers
+    (counted as str.splitlines counts lines) are worked out only when an
+    error is raised."""
 
     def __init__(self, text: str, path: str, skipped: int = 0):
         self.text, self.path, self.skipped = text, path, skipped
-        self.toks = text.split()
-        self.pos = 0
-
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
-
-    def line(self, i: int | None = None) -> int:
-        """Line within `text` of token i (default: the next one, or the
-        last one at the end); 0 if there are no tokens."""
-        if not self.toks:
-            return 0
-        i = min(self.pos if i is None else int(i), len(self.toks) - 1)
-        start = next(itertools.islice(_TOKEN.finditer(self.text), i, None)).start()
-        # the "x" stands for the token, so a token that starts a line counts it
-        return len((self.text[:start] + "x").splitlines())
-
-    def error(self, msg: str, i: int | None = None) -> ParseError:
-        """A ParseError at the file line of token i (default as in line())."""
-        return ParseError(msg, self.path, self.line(i) + self.skipped)
-
-    def next(self) -> str:
-        if self.done():
-            raise self.error("unexpected end of file")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def peek(self) -> str | None:
-        return None if self.done() else self.toks[self.pos]
-
-    def take(self, n: int, dtype) -> np.ndarray:
-        if self.pos + n > len(self.toks):
-            raise self.error(f"expected {n} more values, file ended")
-        try:
-            out = np.array(self.toks[self.pos:self.pos + n], dtype=dtype)
-        except (ValueError, OverflowError):
-            # find the bad token only now, so the fast path stays one call
-            bad = next((i for i in range(self.pos, self.pos + n)
-                        if not _converts(self.toks[i], dtype)), self.pos)
-            raise self.error("malformed numeric value", bad) from None
-        self.pos += n
-        return out
-
-
-class _Irregular(Exception):
-    """`_Cursor` met input that it does not read the way `_Tokens` does."""
-
-
-class _Cursor(_Source):
-    """Token source over `text` that makes no string per value: a numeric
-    section, which runs to the first token with a character no number
-    has (a keyword, say), is one `np.fromstring` call. It returns only
-    what `_Tokens` returns for the same text. On anything else, an error
-    of the file included, it raises `_Irregular`, and the caller parses
-    again with `_Tokens`, whose messages name the line."""
-
-    def __init__(self, text: str):
-        self.text = text
         self.pos = 0  # character offset just past the last token read
-
-    def error(self, msg: str, i: int | None = None) -> _Irregular:
-        return _Irregular()
+        self.last = 0  # offset of the last token that next() read
 
     def done(self) -> bool:
         return _TOKEN.search(self.text, self.pos) is None
 
+    def at(self, start: int, k: int) -> int:
+        """Offset of the k-th token after offset `start` (0: the first)."""
+        skipped = _counted(k).match(self.text, start).end()
+        return _TOKEN.search(self.text, skipped).start()
+
+    def line(self, at: int | None = None) -> int:
+        """Line within `text` of the token at offset `at` (default: the
+        next one, or the last one at the end); 0 if there are no tokens."""
+        if at is None:
+            m = _TOKEN.search(self.text, self.pos)
+            if m is None and not self.pos:
+                return 0  # the text holds no token
+            # at the end, the end of the last token read, on its line
+            at = self.pos if m is None else m.start()
+        # the "x" stands for the token, so a token that starts a line counts it
+        return len((self.text[:at] + "x").splitlines())
+
+    def error(self, msg: str, at: int | None = None) -> ParseError:
+        """A ParseError at the file line of the token at `at` (default as
+        in line())."""
+        return ParseError(msg, self.path, self.line(at) + self.skipped)
+
     def next(self) -> str:
         m = _TOKEN.search(self.text, self.pos)
         if m is None:
-            raise _Irregular()
-        self.pos = m.end()
+            raise self.error("unexpected end of file")
+        self.last, self.pos = m.span()
         return m.group()
 
     def peek(self) -> str | None:
         m = _TOKEN.search(self.text, self.pos)
         return None if m is None else m.group()
 
+    def next_int(self) -> int:
+        tok = self.next()
+        try:
+            return int(tok)
+        except ValueError:
+            raise self.error(f"expected integer, got '{tok}'", self.last) from None
+
+    def next_count(self) -> int:
+        """The next integer, which must not be negative: a negative count
+        would move the cursor backwards."""
+        n = self.next_int()
+        if n < 0:
+            raise self.error(f"negative count {n}", self.last)
+        return n
+
     def take(self, n: int, dtype) -> np.ndarray:
+        """The next n tokens as an array of `dtype`."""
         text, start = self.text, self.pos
-        m = _NON_NUMERIC.search(text, start)
-        end = len(text) if m is None else m.start()
-        while start < end < len(text) and not text[end - 1].isspace():
-            end -= 1  # back to the start of the token
-        section = text[start:end]
-        if not section or section.isspace():
-            out = np.empty(0, dtype=dtype)  # fromstring would make a value
-        elif dtype is np.int64 and ("-" in section or "+" in section):
-            raise _Irregular()  # fromstring reads a lone sign as 0
-        else:
-            # numpy 1.x warns and returns what it read up to a bad token
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    out = np.fromstring(section, dtype=dtype, sep=" ")
-                except (ValueError, Warning):
-                    raise _Irregular() from None
-        if len(out) != n:
-            raise _Irregular()
-        if dtype is np.int64 and n and out.max() == np.iinfo(np.int64).max:
-            raise _Irregular()  # fromstring saturates where int() overflows
-        self.pos = end
+        # n tokens need n characters; a larger count compiles no pattern
+        m = _counted(n).match(text, start) if n <= len(text) - start else None
+        if m is None:
+            raise self.error(f"expected {n} more values, file ended")
+        section = text[start:m.end()]
+        out = _fast_values(section, n, dtype)
+        if out is None:
+            toks = section.split()
+            try:
+                out = np.array(toks, dtype=dtype)
+            except (ValueError, OverflowError):
+                # find the bad token only now, so a good section stays one call
+                bad = next((k for k, tok in enumerate(toks)
+                            if not _converts(tok, dtype)), 0)
+                raise self.error("malformed numeric value",
+                                 self.at(start, bad)) from None
+        self.pos = m.end()
         return out
+
+
+def _counted(n: int) -> re.Pattern:
+    """The pattern of the next n tokens; possessive, so that a match keeps
+    no state per token."""
+    return re.compile(rf"(?:\s*+\S++){{{n}}}+")
+
+
+def _fast_values(section: str, n: int, dtype) -> np.ndarray | None:
+    """The values of `section`, which holds n tokens, from one
+    `np.fromstring` call; None where that call may read them otherwise
+    than `np.array` of the tokens does."""
+    if not n:
+        return np.empty(0, dtype=dtype)  # fromstring would make a value
+    if dtype is np.int64 and ("-" in section or "+" in section):
+        return None  # fromstring reads a lone sign as 0
+    if dtype is np.float64 and ("n" in section or "N" in section):
+        return None  # fromstring takes "nan(1)" and drops the sign of "-nan"
+    # numpy 1.x warns and returns what it read up to a bad token
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = np.fromstring(section, dtype=dtype, sep=" ")
+        except (ValueError, Warning):
+            return None
+    if len(out) != n:
+        return None
+    if dtype is np.int64 and out.max() == np.iinfo(np.int64).max:
+        return None  # fromstring saturates where int() overflows
+    return out
 
 
 def _converts(tok: str, dtype) -> bool:
@@ -171,8 +155,6 @@ def _converts(tok: str, dtype) -> bool:
 # the line breaks of str.splitlines, and a token of str.split
 _LINE_END = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 _TOKEN = re.compile(r"\S+")
-# a character that no number holds
-_NON_NUMERIC = re.compile(r"[^0-9\s.eE+\-]")
 
 
 def _parse_vtk(path: str):
@@ -181,7 +163,9 @@ def _parse_vtk(path: str):
     Returns (points, tets (n, 4) or None when the file has no grid,
     cell_vectors{name: array}, point_vectors{name: array}).
     """
-    with open(path, "r") as f:
+    # a byte that is not UTF-8 reads as its escape, such as \xff: not a
+    # number or a keyword, and printable in any message
+    with open(path, "r", errors="backslashreplace") as f:
         head = _LINE_END.split(f.read(), 3)  # 3 header lines and the body
     if len(head) == 4:
         body = head.pop()
@@ -198,15 +182,7 @@ def _parse_vtk(path: str):
         raise ParseError(f"unsupported VTK format '{head[2].strip()}' "
                          "(only ASCII legacy files)", path, 3)
 
-    try:
-        return _vtk_sections(_Cursor(body))
-    except _Irregular:
-        return _vtk_sections(_Tokens(body, path, skipped=3))
-
-
-def _vtk_sections(ts: _Source):
-    """The grid and data sections of a VTK body, as `_parse_vtk` returns
-    them, read from the token source `ts`."""
+    ts = _Tokens(body, path, skipped=3)
     points = np.zeros((0, 3))
     cells = None
     cell_types = None
@@ -247,7 +223,8 @@ def _vtk_sections(ts: _Source):
             bad = np.flatnonzero(is_index & ((raw < 0) | (raw >= len(points))))
             if len(bad):
                 raise ts.error(f"vertex index {raw[bad[0]]} out of range "
-                               f"(file has {len(points)} points)", first + bad[0])
+                               f"(file has {len(points)} points)",
+                               ts.at(first, bad[0]))
             cells, cell_sizes = raw[is_index], raw[starts]
             cell_types = None  # a grid's CELL_TYPES follows its CELLS
         elif kw == "CELL_TYPES":
@@ -256,16 +233,18 @@ def _vtk_sections(ts: _Source):
             n = ts.next_int()
             if n != len(cell_sizes):
                 raise ts.error(f"CELL_TYPES declares {n} cells, CELLS "
-                               f"{len(cell_sizes)}", ts.pos - 1)
+                               f"{len(cell_sizes)}", ts.last)
+            first_type = ts.pos
             cell_types = ts.take(n, np.int64)
             bad = np.flatnonzero(cell_types != _VTK_TET)
             if len(bad):
                 raise ts.error(f"unsupported cell type {cell_types[bad[0]]} (only "
-                               f"tetrahedra, type {_VTK_TET})", ts.pos - n + bad[0])
+                               f"tetrahedra, type {_VTK_TET})",
+                               ts.at(first_type, bad[0]))
             bad = np.flatnonzero(cell_sizes != 4)
             if len(bad):
                 raise ts.error(f"tetrahedral cell with {cell_sizes[bad[0]]} vertices",
-                               first + starts[bad[0]])
+                               ts.at(first, starts[bad[0]]))
         elif kw == "CELL_DATA":
             association = "cell"
             assoc_n = ts.next_count()
@@ -313,7 +292,7 @@ def _parse_msh(path: str):
     Entity blocks of dimension below 3 (boundary points/curves/surfaces)
     are skipped; volume blocks must contain 4-node tets.
     """
-    with open(path, "r") as f:
+    with open(path, "r", errors="backslashreplace") as f:  # as in _parse_vtk
         ts = _Tokens(f.read(), path)
 
     node_tags = []
@@ -528,9 +507,12 @@ def _write_grid(path, mesh: TetMesh, grid: str, cell_vectors: dict | None,
             if arr.shape != (mesh.n_t, 3):
                 raise FieldError(f"cell vector array '{name}' must have shape "
                                  f"({mesh.n_t}, 3)")
+            if not _TOKEN.fullmatch(str(name)):  # the reader takes one token
+                raise FieldError(f"cell vector array name '{name}' is empty "
+                                 "or holds whitespace")
             data.append(f"VECTORS {name} double\n")
             data.append(_rows("%r %r %r\n", arr))
-    title = title.replace("\n", " ")[:255]
+    title = _LINE_END.sub(" ", title)[:255]
     with open(path, "w", newline="\n") as f:
         f.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
                 "DATASET UNSTRUCTURED_GRID\n")
@@ -541,7 +523,10 @@ def _write_grid(path, mesh: TetMesh, grid: str, cell_vectors: dict | None,
 def write_vtk(path, mesh: TetMesh, cell_vectors: dict | None = None,
               title: str = "hodge3d"):
     """Write a VTK legacy ASCII unstructured grid with optional per-tet
-    vector arrays; byte output is deterministic for fixed inputs."""
+    vector arrays; byte output is deterministic for fixed inputs. Every
+    line break in `title` is written as a space, and an array name must
+    be one word without whitespace, so read_mesh and read_field read the
+    file back."""
     _write_grid(path, mesh, _grid_text(mesh), cell_vectors, title)
 
 

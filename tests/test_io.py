@@ -15,6 +15,7 @@ from hodge3d import io as h_io
 from hodge3d.cli import main
 from hodge3d.errors import FieldError, Hodge3dError, MeshError, ParseError
 
+from conftest import REF_VERTS
 from oracles import write_gmsh41
 
 GOLDEN_TET = """\
@@ -62,12 +63,20 @@ FIFTH_POINT = "0.0 0.0 1.0\n1.0 1.0 1.0\n"
     ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
       ("4 0 1 2 3", "4 0 1 2 7")), 12, "vertex index 7 out of range"),
     ((("4 0 1 2 3", "4 0 1 2 -1"),), 11, "vertex index -1 out of range"),
+    ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
+      ("CELLS 1 5\n4 0 1 2 3", "CELLS 2 10\n4 0 1 2 3\n4 1 2 3 7"),
+      ("CELL_TYPES 1\n10", "CELL_TYPES 2\n10\n10")),
+     13, "vertex index 7 out of range"),
+    ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
+      ("CELLS 1 5\n4 0 1 2 3", "CELLS 2 10\n4 0 1 2 3\n4 1 2 3 4"),
+      ("CELL_TYPES 1\n10", "CELL_TYPES 2\n10\n12")),
+     16, "unsupported cell type 12"),
     # two cells, one declared type
     ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
       ("CELLS 1 5\n4 0 1 2 3", "CELLS 2 10\n4 0 1 2 3\n4 1 2 3 4")),
      14, "CELL_TYPES declares 1 cells, CELLS 2"),
 ], ids=["ragged_row", "index_past_points", "negative_index",
-        "cell_types_count"])
+        "index_in_second_row", "second_cell_type", "cell_types_count"])
 def test_read_rejects_malformed_cells(tmp_path, replacements, line, message):
     text = GOLDEN_TET
     for old, new in replacements:
@@ -175,12 +184,14 @@ def test_integer_overflow_is_a_malformed_value(tmp_path, ext, text, old, new):
      8, "malformed numeric value"),
     (".vtk", GOLDEN_TET.replace("CELLS 1 5", "CELLS x 5"),
      10, "expected integer, got 'x'"),
+    (".vtk", GOLDEN_TET.replace("CELLS 1 5", "CELLS 1 x"),
+     10, "expected integer, got 'x'"),
     (".vtk", GOLDEN_TET.removesuffix("10\n"),
      12, "expected 1 more values, file ended"),
     (".msh", MSH_TET.replace("0.0 1.0 0.0\n", "0.0 1.x 0.0\n"),
      13, "malformed numeric value"),
 ], ids=["vtk_cell_size_overflow", "vtk_point_coordinate", "vtk_cells_count",
-        "vtk_cut_after_cell_types", "msh_node_coordinate"])
+        "vtk_cells_size", "vtk_cut_after_cell_types", "msh_node_coordinate"])
 def test_token_errors_name_the_line_of_the_bad_token(tmp_path, ext, text,
                                                      line, message):
     p = tmp_path / f"bad{ext}"
@@ -262,6 +273,43 @@ def test_read_rejects_binary_and_garbage(tmp_path):
         h.read_mesh(p2)
 
 
+# a binary legacy VTK file: an ASCII header, then big-endian values
+BINARY_VTK = (b"# vtk DataFile Version 3.0\nsingle tet\nBINARY\n"
+              b"DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n"
+              + np.array(REF_VERTS, dtype=">f8").tobytes()
+              + b"\nCELLS 1 5\n" + np.array([4, 0, 1, 2, 3], dtype=">i4").tobytes()
+              + b"\nCELL_TYPES 1\n" + np.array([10], dtype=">i4").tobytes() + b"\n")
+# a binary Gmsh file: its node coordinates are raw doubles
+BINARY_MSH = (b"$MeshFormat\n4.1 1 8\n\x01\x00\x00\x00\n$EndMeshFormat\n"
+              b"$Nodes\n" + np.array(REF_VERTS, dtype="<f8").tobytes()
+              + b"\n$EndNodes\n")
+
+
+@pytest.mark.parametrize("name, data, line, message", [
+    ("bin.vtk", BINARY_VTK, 3,
+     "unsupported VTK format 'BINARY' (only ASCII legacy files)"),
+    ("byte.vtk", GOLDEN_TET.encode().replace(b"1.0 0.0 0.0", b"1.0 0.\xff 0.0"),
+     7, "malformed numeric value"),
+    ("byte_cell.vtk", GOLDEN_TET.encode().replace(b"4 0 1 2 3", b"4 0 1 \xe9 3"),
+     11, "malformed numeric value"),
+    ("bin.msh", BINARY_MSH, 3, "binary MSH files are not supported"),
+    ("byte.msh", MSH_TET.encode().replace(b"$Nodes\n1 4", b"$Nodes\n\xff1 4"),
+     5, "expected integer, got '\\xff1'"),
+], ids=["binary_vtk", "vtk_point", "vtk_cell", "binary_msh", "msh_count"])
+def test_non_utf8_files_are_parse_errors(tmp_path, capsys, name, data, line,
+                                         message):
+    p = tmp_path / name
+    p.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode()
+    with pytest.raises(ParseError) as exc:
+        h.read_mesh(p)
+    assert str(exc.value) == f"{p}:{line}: {message}"
+    assert main(["decompose", "--mesh", str(p), "--field", "X0",
+                 "--scheme", "fd"]) == 1
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 def test_read_empty_mesh(tmp_path):
     text = GOLDEN_TET.replace("CELLS 1 5\n4 0 1 2 3", "CELLS 0 0")
     text = text.replace("CELL_TYPES 1\n10", "CELL_TYPES 0")
@@ -341,6 +389,29 @@ def test_write_golden_bytes(tmp_path):
     p = tmp_path / "golden.vtk"
     h.write_vtk(p, mesh, {"v": vecs}, title="golden")
     assert p.read_bytes() == GOLDEN_WRITE.encode()
+
+
+@pytest.mark.parametrize("title", ["a\rb", "a\r\nb", "a\vb", "a\x85b",
+                                   "a\u2028b"], ids=["cr", "crlf", "vt", "nel", "ls"])
+def test_write_vtk_keeps_the_title_on_one_line(tmp_path, ref_tet, title):
+    p = tmp_path / "t.vtk"
+    h.write_vtk(p, ref_tet, {"v": [[0.25, -0.5, 1.0]]}, title=title)
+    assert p.read_bytes().split(b"\n")[1] == b"a b"
+    mesh = h.read_mesh(p)
+    assert (h.read_field(p, mesh).vectors == [[0.25, -0.5, 1.0]]).all()
+
+
+@pytest.mark.parametrize("name", ["my field", "", "a\tb", "v\n"],
+                         ids=["space", "empty", "tab", "newline"])
+def test_write_vtk_rejects_a_name_the_reader_would_split(tmp_path, ref_tet, name):
+    p = tmp_path / "n.vtk"
+    with pytest.raises(FieldError) as exc:
+        h.write_vtk(p, ref_tet, {name: [[0.0, 0.0, 1.0]]})
+    assert str(exc.value) == \
+        f"cell vector array name '{name}' is empty or holds whitespace"
+    assert not p.exists()
+    h.write_vtk(p, ref_tet, {"my_field": [[0.0, 0.0, 1.0]]})
+    assert list(h_io._parse(str(p))[2]) == ["my_field"]
 
 
 def test_write_deterministic(ball_tiny, tmp_path):
@@ -499,8 +570,9 @@ def _parse_outcome(path):
         list(cell_vectors), list(point_vectors)
 
 
-def _no_cursor(text):
-    raise h_io._Irregular()
+def _exact(monkeypatch):
+    """Make every section be read token by token, not by `np.fromstring`."""
+    monkeypatch.setattr(h_io, "_fast_values", lambda section, n, dtype: None)
 
 
 RICH_VTK = (GOLDEN_TET + "CELL_DATA 1\nSCALARS s double 1\nLOOKUP_TABLE default\n"
@@ -533,38 +605,45 @@ def test_fast_parse_agrees_with_the_token_grammar(tmp_path, monkeypatch, name):
     p = tmp_path / "case.vtk"
     p.write_bytes(FAST_PARSE_CASES[name].encode())
     fast = _parse_outcome(str(p))
-    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
+    _exact(monkeypatch)
     assert fast == _parse_outcome(str(p))
 
 
 @pytest.mark.parametrize("dtype, section", [
     (np.int64, " 99999999999999999999\n"), (np.int64, " 9223372036854775807"),
     (np.int64, " 1 -"), (np.int64, "\n\n"), (np.float64, " 1e999 -1e-999\n"),
-    (np.float64, " 1.5 2.5x"), (np.float64, " 1.5 .2e3"),
+    (np.float64, " 1.5 2.5x"), (np.float64, " 1.5 .2e3"), (np.float64, " 1 -nan"),
+    (np.float64, " nan(1) 2"), (np.float64, " 1_000 2"), (np.int64, " 010 7"),
 ], ids=["saturating", "int64_max", "lone_sign", "blank", "overflow",
-        "glued_letter", "no_leading_digit"])
+        "glued_letter", "no_leading_digit", "signed_nan", "nan_payload",
+        "underscore", "leading_zero"])
 def test_cursor_reads_a_section_as_the_tokens_do(dtype, section):
-    # the cursor reads what the tokens read, or defers to them
-    n = len(section.split())
-    try:
-        fast = h_io._Cursor(section).take(n, dtype)
-    except h_io._Irregular:
-        return
-    ts = h_io._Tokens(section, "s.vtk")
-    assert fast.tobytes() == ts.take(n, dtype).tobytes()
-    assert ts.done()
+    # one fromstring call reads what np.array of the tokens reads, or
+    # leaves the section to them
+    toks = section.split()
+    fast = h_io._fast_values(section, len(toks), dtype)
+    if fast is not None:
+        assert fast.tobytes() == np.array(toks, dtype=dtype).tobytes()
+
+
+def test_fast_values_are_not_trusted_when_short(monkeypatch):
+    # a fromstring that stops early without a warning
+    monkeypatch.setattr(np, "fromstring",
+                        lambda string, dtype=float, sep="": np.zeros(1, dtype))
+    assert h_io._fast_values(" 1 2", 2, np.float64) is None
 
 
 def test_fast_parse_agrees_on_every_mutant(tmp_path, monkeypatch):
     paths = []
-    for i, mutant in enumerate(_mutants(RICH_VTK)):
-        paths.append(tmp_path / f"m{i}.vtk")
-        paths[-1].write_text(mutant)
-    base = tmp_path / "base.vtk"
-    base.write_text(RICH_VTK)
-    fast = [_parse_outcome(str(p)) for p in [base] + paths]
-    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
-    assert fast == [_parse_outcome(str(p)) for p in [base] + paths]
+    for ext, text in ((".vtk", RICH_VTK), (".msh", MSH_TET)):
+        paths.append(tmp_path / f"base{ext}")
+        paths[-1].write_text(text)
+        for i, mutant in enumerate(_mutants(text)):
+            paths.append(tmp_path / f"m{i}{ext}")
+            paths[-1].write_text(mutant)
+    fast = [_parse_outcome(str(p)) for p in paths]
+    _exact(monkeypatch)
+    assert fast == [_parse_outcome(str(p)) for p in paths]
 
 
 def test_fast_parse_falls_back_when_numpy_warns(tmp_path, monkeypatch):
@@ -585,30 +664,44 @@ def test_fast_parse_falls_back_when_numpy_warns(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "fromstring", numpy1_fromstring)
     fast = _parse_outcome(str(p))
     assert fast[0] is ParseError and fast[1].endswith(":19: malformed numeric value")
-    monkeypatch.setattr(h_io, "_Cursor", _no_cursor)
+    _exact(monkeypatch)
     assert fast == _parse_outcome(str(p))
+
+
+def _ball_files(tmp_path, mesh):
+    """`mesh` written as VTK with a cell field and as Gmsh."""
+    vtk, msh = tmp_path / "ball.vtk", tmp_path / "ball.msh"
+    h.write_vtk(vtk, mesh, {"v": h.sample_analytic(mesh, "X1").vectors})
+    write_gmsh41(msh, mesh)
+    return vtk, msh
 
 
 def test_regular_file_is_parsed_without_token_strings(tmp_path, monkeypatch,
                                                       ball_coarse):
-    p = tmp_path / "ball.vtk"
-    h.write_vtk(p, ball_coarse, {"v": h.sample_analytic(ball_coarse, "X1").vectors})
-    monkeypatch.setattr(h_io, "_Tokens", None)  # any fallback would fail
-    mesh, X = h_io._read_mesh_and_field(p)
+    fast_values = h_io._fast_values
+
+    def fast_only(section, n, dtype):
+        out = fast_values(section, n, dtype)
+        assert out is not None
+        return out
+
+    monkeypatch.setattr(h_io, "_fast_values", fast_only)
+    vtk, msh = _ball_files(tmp_path, ball_coarse)
+    mesh, X = h_io._read_mesh_and_field(vtk)
     assert (mesh.tets == ball_coarse.tets).all()
     assert (X.vectors == h.sample_analytic(ball_coarse, "X1").vectors).all()
+    assert (h.read_mesh(msh).tets == ball_coarse.tets).all()
 
 
 def test_parse_peak_memory_is_a_few_file_sizes(tmp_path, ball_medium):
-    p = tmp_path / "ball.vtk"
-    h.write_vtk(p, ball_medium, {"v": h.sample_analytic(ball_medium, "X1").vectors})
-    tracemalloc.start()
-    try:
-        h_io._parse(str(p))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * p.stat().st_size
+    for p, bound in zip(_ball_files(tmp_path, ball_medium), (4, 10)):
+        tracemalloc.start()
+        try:
+            h_io._parse(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * p.stat().st_size, p
 
 
 def test_report_schema_and_fractions(torus_engine):
