@@ -7,7 +7,8 @@ and `sweep` for resolution or noise studies. Each handler runs on the
 parsed arguments. `_check` applies every flag rule that needs no mesh
 before a mesh is built; generate_voxel_domain checks --h and the domain
 parameters, and `dims` checks --probes against the mesh's topology.
-`_build_inputs` alone puts a decomposition's mesh and field together. Exit
+`_decompose_levels` alone puts a decomposition's mesh, field and engine
+together. Exit
 codes: 0 success, 1 input error (a bad flag value included) or a failed
 allocation, 2 solver non-convergence. All randomness flows through
 explicit --seed flags; HODGE3D_THREADS caps sweep workers.
@@ -43,118 +44,102 @@ def _build_mesh(ns):
     return generate_voxel_domain(ns.domain, ns.h, **_domain_params(ns))
 
 
-def _transfer_field(src: Pcvf, dst_mesh) -> Pcvf:
-    """Nearest-barycenter transfer of a per-tet field onto another mesh."""
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(src.mesh.barycenters())
-    _, idx = tree.query(dst_mesh.barycenters())
-    return Pcvf(dst_mesh, src.vectors[idx])
+def _file_field(ns):
+    """The field of a file: field on the file's own mesh, from one parse;
+    None for an analytic field."""
+    if ns.field.startswith("file:"):
+        return _read_mesh_and_field(ns.field[5:], resample=ns.resample)[1]
 
 
-def _build_inputs(ns):
-    """The mesh and the field of a decomposition. A file: field is parsed
-    once. When it is --mesh, the run takes the file's own mesh and field;
-    any other mesh takes the field by nearest-barycenter transfer, which
-    is exact on an identical mesh."""
-    src = ns.field
-    path = src[5:] if src.startswith("file:") else None
+def _decompose_levels(ns, levels, source=None):
+    """Build the mesh, the field and the engine of `ns` once, then
+    decompose the field with noise factor rho at every (rho, out) level on
+    that engine, writing the level's outputs to `out` unless it is None.
+    Yields each level's result and written paths in turn.
+
+    A file: field is parsed once, here unless `source` is its
+    `_file_field`. When the file is --mesh, the run takes the file's own
+    mesh and field; any other mesh takes the field by nearest-barycenter
+    transfer, which is exact on an identical mesh."""
+    path = ns.field[5:] if ns.field.startswith("file:") else None
     if path is not None and ns.mesh is not None and \
             os.path.abspath(path) == os.path.abspath(ns.mesh):
-        mesh, X = _read_mesh_and_field(path, resample=ns.resample)
+        X = source or _file_field(ns)
+        mesh = X.mesh
     else:
-        mesh = _build_mesh(ns)
-        if path is not None:
-            _, X = _read_mesh_and_field(path, resample=ns.resample)
-            X = _transfer_field(X, mesh)
-        elif src in ANALYTIC_FIELDS:
-            X = sample_analytic(mesh, src)
+        mesh = _build_mesh(ns)  # its errors come before the field file's
+        if path is None:
+            X = sample_analytic(mesh, ns.field)
         else:
-            raise _UsageError(f"unknown field '{src}' (analytic fields: "
-                              f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
-    if ns.rho > 0:
-        X = add_noise(X, ns.rho, ns.seed)
-    return mesh, X
-
-
-def _extra_report_entries(ns) -> dict:
+            from scipy.spatial import cKDTree
+            X = source or _file_field(ns)
+            idx = cKDTree(X.mesh.barycenters()).query(mesh.barycenters())[1]
+            X = Pcvf(mesh, X.vectors[idx])
+    engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
     mesh_src = ns.mesh if ns.mesh is not None else \
         f"{ns.domain};h={ns.h};{sorted(_domain_params(ns).items())}"
-    return {
-        "inputs": {"mesh": mesh_src, "field": ns.field,
-                   "rho": ns.rho, "seed": ns.seed},
-        "tolerances": {"tol": ns.tol, "max_iter": ns.max_iter},
-    }
-
-
-def _decompose_core(ns):
-    mesh, X = _build_inputs(ns)
-    engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
-    result = engine.decompose(X, ns.scheme)
-    paths = []
-    if ns.out:
-        paths = write_outputs(result, ns.out, ns.formats,
-                              extra=_extra_report_entries(ns))
-    return result, paths
-
-
-def _print_result(result):
-    print(f"scheme {result.scheme}: input squared norm "
-          f"{result.input_sq_norm:.6g}")
-    fractions = result.fractions()
-    for name in result.components:
-        flag = "  [zero]" if result.zero_flags[name] else ""
-        print(f"  {name:<20} {result.sq_norms[name]:14.6e} "
-              f"({100 * fractions[name]:6.2f}%){flag}")
+    for rho, out in levels:
+        result = engine.decompose(add_noise(X, rho, ns.seed) if rho > 0 else X,
+                                  ns.scheme)
+        paths = []
+        if out:
+            paths = write_outputs(result, out, ns.formats, extra={
+                "inputs": {"mesh": mesh_src, "field": ns.field, "rho": rho,
+                           "seed": ns.seed},
+                "tolerances": {"tol": ns.tol, "max_iter": ns.max_iter}})
+        yield result, paths
 
 
 def _cmd_decompose(ns) -> int:
-    result, paths = _decompose_core(ns)
-    _print_result(result)
-    for p in paths:
-        print(f"wrote {p}")
+    for result, paths in _decompose_levels(ns, [(ns.rho, ns.out)]):
+        print(f"scheme {result.scheme}: input squared norm "
+              f"{result.input_sq_norm:.6g}")
+        fractions = result.fractions()
+        for name in result.components:
+            flag = "  [zero]" if result.zero_flags[name] else ""
+            print(f"  {name:<20} {result.sq_norms[name]:14.6e} "
+                  f"({100 * fractions[name]:6.2f}%){flag}")
+        for p in paths:
+            print(f"wrote {p}")
     return 0
 
 
-_VALIDATE_CASES = (
-    ("X0", "ball"), ("X1", "ball"), ("X2", "ball"), ("X012", "ball"),
-    ("X3", "ball_with_cavity"), ("X4", "solid_torus"),
-)
+# The analytic fields of each domain, in case order; one engine per domain.
+_VALIDATE_CASES = {"ball": ("X0", "X1", "X2", "X012"),
+                   "ball_with_cavity": ("X3",), "solid_torus": ("X4",)}
 
 
 def _cmd_validate(ns) -> int:
     h_of = {"ball": ns.h_ball, "ball_with_cavity": ns.h_cavity,
             "solid_torus": ns.h_torus}
-    engines = {}
-    rows = []
     cases_out = []
     all_passed = True
-    for fname, dom in _VALIDATE_CASES:
-        if dom not in engines:
-            mesh = generate_voxel_domain(dom, h_of[dom])
-            engines[dom] = HodgeDecomposer(mesh, tol=ns.tol,
-                                           max_iter=ns.max_iter)
-        engine = engines[dom]
-        X = sample_analytic(engine.mesh, fname)
-        result = engine.decompose(X, "FULL")
-        verification = engine.verify(result)
-        all_passed &= verification.passed
-        rows.append((fname, dom, result))
-        cases_out.append({
-            "field": fname, "domain": dom, "h": h_of[dom],
-            "report": make_report(result),
-            "checks": [{"name": c.name, "passed": c.passed, "value": c.value,
-                        "bound": c.bound} for c in verification.checks],
-            "passed": verification.passed,
-        })
+    for dom, fields in _VALIDATE_CASES.items():
+        engine = HodgeDecomposer(generate_voxel_domain(dom, h_of[dom]),
+                                 tol=ns.tol, max_iter=ns.max_iter)
+        for fname in fields:
+            result = engine.decompose(sample_analytic(engine.mesh, fname),
+                                      "FULL")
+            verification = engine.verify(result)
+            all_passed &= verification.passed
+            cases_out.append({
+                "field": fname, "domain": dom, "h": h_of[dom],
+                "report": make_report(result),
+                "checks": [{"name": c.name, "passed": c.passed,
+                            "value": c.value, "bound": c.bound}
+                           for c in verification.checks],
+                "passed": verification.passed,
+            })
 
     comp_names = SCHEME_COMPONENTS["FULL"]
     header = f"{'field':<6} {'domain':<17} {'input':>10} " + \
         " ".join(f"{n[:12]:>12}" for n in comp_names)
     print(header)
-    for fname, dom, result in rows:
-        vals = " ".join(f"{result.sq_norms[n]:12.4g}" for n in comp_names)
-        print(f"{fname:<6} {dom:<17} {result.input_sq_norm:10.4g} {vals}")
+    for case in cases_out:  # components in comp_names order
+        report = case["report"]
+        vals = " ".join(f"{c['sq_norm']:12.4g}" for c in report["components"])
+        print(f"{case['field']:<6} {case['domain']:<17} "
+              f"{report['input_sq_norm']:10.4g} {vals}")
     for case in cases_out:
         if not case["passed"]:
             bad = [c["name"] for c in case["checks"] if not c["passed"]]
@@ -199,44 +184,54 @@ def _sweep_levels(ns) -> list:
     return [(kind, v, f"{kind}_{v:g}") for v in values]
 
 
-def _sweep_level(args):
-    ns, kind, value, label = args
-    # a rho sweep runs at its single --h (None with --mesh)
-    level = argparse.Namespace(**{
-        **vars(ns), "h": ns.h[0] if ns.h else None, kind: float(value),
-        "out": os.path.join(ns.out, label) if ns.out else None})
-    result, _ = _decompose_core(level)
-    row = {"kind": kind, "level": value,
-           "n_t": result.input.mesh.n_t,
-           "input_sq_norm": result.input_sq_norm}
-    fractions = result.fractions()
-    for name in result.components:
-        row[f"{name}_sq_norm"] = result.sq_norms[name]
-        row[f"{name}_fraction"] = fractions[name]
-    return label, row
+def _sweep_rows(ns, levels, source) -> list:
+    """The summary of every (rho, out) level of one sweep mesh."""
+    rows = []
+    for result, _ in _decompose_levels(ns, levels, source):
+        fractions = result.fractions()
+        rows.append({"n_t": result.input.mesh.n_t,
+                     "input_sq_norm": result.input_sq_norm})
+        for name in result.components:
+            rows[-1][f"{name}_sq_norm"] = result.sq_norms[name]
+            rows[-1][f"{name}_fraction"] = fractions[name]
+    return rows
 
 
 def _cmd_sweep(ns) -> int:
-    levels = [(ns, *level) for level in _sweep_levels(ns)]
-
+    """A rho sweep is one mesh carrying all its levels, at its single --h
+    (None with --mesh); an h sweep is one mesh per level. HODGE3D_THREADS
+    caps the worker processes, one mesh each, so a rho sweep runs here."""
     threads = os.environ.get("HODGE3D_THREADS", "1") or "1"
     try:
         workers = int(threads)
     except ValueError:
         raise _UsageError("HODGE3D_THREADS must be an integer, "
                           f"got '{threads}'") from None
-    workers = max(1, min(workers, len(levels)))
+    sweep = _sweep_levels(ns)
+    outs = [os.path.join(ns.out, label) if ns.out else None
+            for _, _, label in sweep]
+    if ns.rho_levels:
+        hs = [ns.h[0] if ns.h else None]
+        levels = [list(zip(ns.rho_levels, outs))]
+    else:
+        hs, levels = ns.h, [[(ns.rho, out)] for out in outs]
+    meshes = [argparse.Namespace(**{**vars(ns), "h": h}) for h in hs]
+    args = (_sweep_rows, meshes, levels, [_file_field(ns)] * len(meshes))
+    workers = min(workers, len(meshes))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_level, levels))
+            per_mesh = list(pool.map(*args))
     else:
-        outcomes = [_sweep_level(lv) for lv in levels]
+        per_mesh = list(map(*args))
+    flat = [row for mesh_rows in per_mesh for row in mesh_rows]
+    rows = [{"kind": kind, "level": value, **row}
+            for (kind, value, _), row in zip(sweep, flat)]
 
     comp_names = SCHEME_COMPONENTS[ns.scheme.upper()]
     fieldnames = ["kind", "level", "n_t", "input_sq_norm"]
     for name in comp_names:
         fieldnames += [f"{name}_sq_norm", f"{name}_fraction"]
-    for label, row in outcomes:
+    for (_, _, label), row in zip(sweep, rows):
         print(f"{label}: " + " ".join(
             f"{name}={row[f'{name}_fraction']:.4f}" for name in comp_names))
     if ns.out:
@@ -245,7 +240,7 @@ def _cmd_sweep(ns) -> int:
         with open(path, "w", newline="\n") as f:
             writer = csv.DictWriter(f, fieldnames=fieldnames)
             writer.writeheader()
-            for _, row in outcomes:
+            for row in rows:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v
                                  for k, v in row.items()})
         print(f"wrote {path}")
@@ -385,6 +380,9 @@ def _check(ns):
     if ns.subcommand in ("decompose", "sweep"):
         if ns.field is None:
             raise _UsageError("--field is required")
+        if ns.field not in ANALYTIC_FIELDS and not ns.field.startswith("file:"):
+            raise _UsageError(f"unknown field '{ns.field}' (analytic fields: "
+                              f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
         _require("--rho", ns.rho, 0)
     _require("--tol", ns.tol, 0, strict=True)
     if ns.max_iter is not None:

@@ -46,8 +46,7 @@ class ElementTables:
     ned_curls : (n_t, 6, 3) curl of the global edge basis function on each
         tet-local edge, already corrected to the global low-to-high edge
         orientation: 2 * grad(phi_i) x grad(phi_j) for the edge (i, j).
-        Built from `mesh` on first read, since only the curl projections
-        and the cut fields of a mesh with tunnels read it.
+        Built from `mesh` on first read: only the curl projections read it.
     """
 
     mesh: TetMesh

@@ -103,8 +103,9 @@ SCHEME_COMPONENTS = {scheme: _components(steps)
 _DIMENSION_SOURCES = {
     "neumann": (("curl", False, "remainder"), ("grad", True, "remainder")),
     "dirichlet": (("curl", True, "remainder"), ("grad", False, "remainder")),
-    "central": (("curl", True, "remainder"), ("grad", False, "projection"),
-                ("grad", True, "remainder"), ("curl", False, "projection")),
+    # grad CR is orthogonal to curl Ned_0: P_grad(X - P_curl0 X) = P_grad X
+    "central": (("grad", False, "projection"), ("grad", True, "remainder"),
+                ("curl", False, "projection")),
 }
 # Probes the dimension oracle takes beyond the expected dimension, at least.
 _SPARE_PROBES = 5
@@ -335,7 +336,9 @@ class HodgeDecomposer:
         f. It is L2-orthogonal to curl Ned_0 exactly when, at every
         interior edge e, sum_f J_f * s_ef = 0 with s_ef = (field of f,
         curl N_e) = +-1 for the faces of e (discrete Stokes: the jump
-        surface ends on the boundary). Jumps that are differences of
+        surface ends on the boundary); for the c-th edge of the face
+        opposite local vertex k, s_ef is (-1)^(k+c) times the edge's
+        orientation sign in the tet. Jumps that are differences of
         per-tet constants give gradients of CR functions; fixing J = 0 on
         a spanning forest of the tet graph removes them and leaves a b1-
         dimensional solution space. The forest is the mesh's cached one
@@ -361,8 +364,8 @@ class HodgeDecomposer:
         grads = tables.cr_gradients[owner, slot]
         local = _FACE_EDGES[slot]
         edge = mesh.tet_edges[owner[:, None], local]
-        sign = np.rint(mesh.volumes[owner, None] * np.einsum(
-            "fd,fld->fl", grads, tables.ned_curls[owner[:, None], local]))
+        sign = (-1.0) ** (slot[:, None] + np.arange(3)) * \
+            mesh.tet_edge_signs[owner[:, None], local]
         edge = np.where(mesh.boundary_edge[edge], -1, edge)
         inner = edge >= 0
         face_of = np.broadcast_to(np.arange(n_if)[:, None], edge.shape)[inner]

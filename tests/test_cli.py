@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import hodge3d as h
+from hodge3d import cli
+from hodge3d import io as h_io
 from hodge3d.cli import main
 
 from oracles import renumbered, write_gmsh41
@@ -87,7 +89,11 @@ def test_exit_codes(capsys):
               "--rho-levels=-1,nan"], "--rho-levels must be >= 0"),
             (["decompose", "--domain", "ball", "--h", "nan", "--field", "X0"],
              "voxel size h must be positive"),
-            (["validate", "--h-ball", "nan"], "voxel size h must be positive")):
+            (["validate", "--h-ball", "nan"], "voxel size h must be positive"),
+            # a lattice this fine would be refused, but the field comes first
+            (["decompose", "--domain", "ball", "--h", "1e-7", "--field", "X9"],
+             "unknown field 'X9' (analytic fields: ['X0', 'X012', 'X1', "
+             "'X2', 'X3', 'X4'], or file:<path>)")):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err == f"error: {message}\n", argv
@@ -103,11 +109,25 @@ def test_unknown_output_format(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_validate_coarse(tmp_path, capsys):
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name from here on."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validate_coarse(tmp_path, capsys, monkeypatch):
+    engines = _counted(monkeypatch, cli, "HodgeDecomposer")
     out = tmp_path / "v"
     code = main(["validate", "--h-ball", "0.25", "--h-cavity", "0.2",
                  "--h-torus", "0.25", "--out", str(out)])
     assert code == 0
+    assert len(engines) == 3  # one per domain
     text = capsys.readouterr().out
     assert "PASS" in text
     report = json.loads((out / "validate_report.json").read_text())
@@ -165,6 +185,37 @@ def test_sweep_rho_levels(tmp_path):
     rows = (out / "summary.csv").read_text().splitlines()
     assert len(rows) == 3
     assert (out / "rho_0.2" / "report.json").exists()
+
+
+def test_rho_sweep_runs_on_one_mesh_and_one_engine(tmp_path, monkeypatch):
+    # even with two workers allowed: the counts see only this process
+    monkeypatch.setenv("HODGE3D_THREADS", "2")
+    meshes = _counted(monkeypatch, cli, "generate_voxel_domain")
+    engines = _counted(monkeypatch, cli, "HodgeDecomposer")
+    out = tmp_path / "r"
+    assert main(["sweep", "--domain", "solid_torus", "--h", "0.3",
+                 "--field", "X4", "--scheme", "fd", "--seed", "3",
+                 "--rho-levels", "0,0.2,0.5", "--out", str(out)]) == 0
+    assert len(meshes) == 1 and len(engines) == 1
+    basis = []
+    for level in ("rho_0", "rho_0.2", "rho_0.5"):
+        report = json.loads((out / level / "report.json").read_text())
+        basis.append([s["stage"] for s in report["solver"]
+                      if s["stage"].startswith("basis_")])
+        assert report["inputs"]["rho"] == float(level[4:])
+    # the H_D basis is built by the first level's decompose only
+    assert basis == [["basis_dirichlet/grad_unconstrained"] * 2, [], []]
+
+
+def test_h_sweep_parses_its_field_file_once(tmp_path, ball_tiny,
+                                            monkeypatch):
+    src = tmp_path / "src.vtk"
+    h.write_vtk(src, ball_tiny, {"v": h.sample_analytic(ball_tiny,
+                                                        "X2").vectors})
+    parses = _counted(monkeypatch, h_io, "_parse")
+    assert main(["sweep", "--domain", "ball", "--h", "0.5,0.45,0.4",
+                 "--field", f"file:{src}", "--scheme", "fd"]) == 0
+    assert len(parses) == 1
 
 
 def test_sweep_worker_count_invariance(tmp_path):

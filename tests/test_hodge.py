@@ -603,3 +603,47 @@ def test_dimension_oracle_does_not_use_harmonic_bases(monkeypatch,
         got = tuple(h.estimate_harmonic_dimension(mesh, which)
                     for which in ("neumann", "dirichlet"))
         assert got == want
+
+
+@pytest.mark.parametrize("renumber", [False, True], ids=["torus", "renumbered"])
+def test_cut_signs_match_the_curl_table(monkeypatch, torus_coarse, renumber):
+    # the cut's incidence signs come from the edge orientations; the
+    # reference is vol * <CR gradient, Nedelec curl> rounded to +-1
+    mesh = renumbered(torus_coarse) if renumber else torus_coarse
+    built, original = [], hodge_module.csr_matrix
+
+    def recorded(arg, **kwargs):
+        built.append(arg)
+        return original(arg, **kwargs)
+
+    monkeypatch.setattr(hodge_module, "csr_matrix", recorded)
+    engine = h.HodgeDecomposer(mesh)
+    cuts = list(engine._cut_fields())
+    assert "ned_curls" not in vars(engine.tables)
+    monkeypatch.undo()
+
+    owner, slot, _ = hodge_module._interior_face_tets(mesh)
+    local = hodge_module._FACE_EDGES[slot]
+    edge = mesh.tet_edges[owner[:, None], local]
+    tables = engine.tables
+    reference = np.rint(mesh.volumes[owner, None] * np.einsum(
+        "fd,fld->fl", tables.cr_gradients[owner, slot],
+        tables.ned_curls[owner[:, None], local]))
+    inner = ~mesh.boundary_edge[edge]
+    [(sign, (rows, _))] = built
+    assert np.array_equal(rows, edge[inner])
+    assert np.array_equal(sign, reference[inner])
+    # so each cut field is orthogonal to curl Ned_0 to rounding
+    assert len(cuts) == 1
+    rhs = h.assemble_rhs(cuts[0], tables, engine._dof_edge)
+    interior = engine._dof_edge.interior_mask
+    assert np.abs(rhs[interior]).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def test_torus_decompositions_build_no_curl_table(torus_coarse):
+    engine = h.HodgeDecomposer(torus_coarse)
+    X = h.sample_analytic(torus_coarse, "X4")
+    for scheme in h.SCHEMES:
+        engine.decompose(X, scheme)
+    assert "ned_curls" not in vars(engine.tables)
+    assert len(engine._bases["dirichlet"]) == 1
