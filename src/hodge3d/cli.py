@@ -27,7 +27,7 @@ from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
 from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
                     SCHEMES, HodgeDecomposer, _expected_dimension,
-                    estimate_harmonic_dimension)
+                    _harmonic_dimension)
 from .io import _read_mesh_and_field, make_report, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
@@ -167,10 +167,11 @@ def _cmd_dims(ns) -> int:
                           f"minimum {need}")
     ok = True
     print(f"betti numbers: {tuple(betti_numbers(mesh))}")
+    engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
     for which in ns.which:
-        est = estimate_harmonic_dimension(mesh, which, probes=ns.probes,
-                                          seed=ns.seed, tol=ns.tol,
-                                          max_iter=ns.max_iter)
+        est = _harmonic_dimension(engine, _DIMENSION_SOURCES[which],
+                                  ns.probes or expected[which] + _SPARE_PROBES,
+                                  ns.seed)
         print(f"{which}: {est} (expected {expected[which]})")
         ok &= est == expected[which]
     return 0 if ok else 1

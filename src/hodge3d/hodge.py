@@ -16,6 +16,7 @@ and tunnels.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -153,10 +154,6 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _stage(space: str, constrained: bool) -> str:
-    return f"{space}_{'constrained' if constrained else 'unconstrained'}"
-
-
 def _smoothing_bound(tables) -> float:
     """An upper bound on lambda_max(D^-1 A) for the face Gram A and its
     interior block.
@@ -186,14 +183,80 @@ def _normalize_scheme(scheme: str) -> str:
     return s
 
 
+class _System:
+    """One Galerkin system: the edge (curl) or face (grad) space, with or
+    without the boundary constraint. Its dofmap, free dofs and stage are
+    fixed when it is made, the rest is built on first read. It holds no
+    reference to its engine, so a dropped engine is freed at once."""
+
+    def __init__(self, space, mesh, tables, dofmap, unconstrained=None):
+        self.space, self.mesh, self.tables = space, mesh, tables
+        self.dofmap, self.unconstrained = dofmap, unconstrained
+        constrained = unconstrained is not None
+        self.free = dofmap.interior_mask if constrained else slice(None)
+        self.stage = f"{space}_{'' if constrained else 'un'}constrained"
+
+    @cached_property
+    def peak(self) -> float:
+        """The largest diagonal entry of the Gram, from the element tables:
+        A_jj = sum_t vol(t) |d_tj|^2, so no Gram is assembled."""
+        d = _table_for(self.tables, self.dofmap)
+        diag = np.bincount(self.dofmap.tet_to_dof.ravel(), weights=(
+            self.mesh.volumes[:, None] * np.einsum("tld,tld->tl", d, d)
+        ).ravel(), minlength=self.dofmap.n_dofs)
+        return float(diag[self.free].max(initial=0.0))
+
+    @cached_property
+    def gram(self) -> SparseSymMatrix:
+        if self.unconstrained is None:
+            return assemble_gram(self.mesh, self.tables, self.dofmap)
+        # Ned_0 and CR_0 are spanned by the interior dofs, so their system
+        # is the interior block of the unconstrained Gram
+        full = self.unconstrained.gram.csr
+        return SparseSymMatrix(csr=full[self.free][:, self.free])
+
+    @cached_property
+    def vertex_space(self):
+        """(P, L, bound) of both face cycles: the face-from-vertex averaging P,
+        the P1 Laplacian L = P^T A P of this Gram A and the smoothing bound."""
+        n_f = self.mesh.n_f
+        P = csr_matrix((np.full(3 * n_f, 1.0 / 3.0), self.mesh.faces.ravel(),
+                        np.arange(0, 3 * n_f + 1, 3)),
+                       shape=(n_f, self.mesh.n_v))
+        A = self.gram.csr
+        return P, (P.T @ (A @ P)).tocsr(), _smoothing_bound(self.tables)
+
+    @cached_property
+    def M(self):
+        """The face cycle, None (Jacobi) for the edges. As P1_0 lies in CR_0,
+        a constrained cycle uses interior blocks of the unconstrained P, L."""
+        if self.space == "curl":
+            return None
+        P, L, bound = (self.unconstrained or self).vertex_space
+        if self.unconstrained is not None:
+            cols = ~self.mesh.boundary_vertex
+            P, L = P[self.free][:, cols], L[cols][:, cols]
+        return auxiliary_space_cycle(self.gram.csr, P, L, bound)
+
+    @cached_property
+    def kernel(self):
+        """Each face's connected solid; the constants on a solid's faces span
+        the unconstrained face Gram's kernel. None for the other systems."""
+        if self.space == "curl" or self.unconstrained is not None:
+            return None
+        solid = self.mesh._tet_forest[1]
+        face_solid = np.empty(self.mesh.n_f, dtype=solid.dtype)
+        face_solid[self.mesh.tet_faces] = solid[:, None]
+        return face_solid
+
+
 class HodgeDecomposer:
     """Decomposition engine for one mesh.
 
-    Builds the element tables once and caches across projections one Gram
-    matrix per space (curl/gradient basis), its interior block as the
-    boundary-constrained system, the multilevel cycle of each face system,
-    and the two harmonic bases, so repeated decompositions on the same
-    mesh only pay for the solves. A system's Gram is assembled on the
+    Builds the element tables once and caches across projections one
+    `_System` per space (curl/gradient basis) and constraint, made by
+    `_system`, and the two harmonic bases, so repeated decompositions on
+    the same mesh only pay for the solves. A Gram is assembled on the
     first projection whose rhs is above the rounding floor; a projection
     at the floor is zero and takes only the Gram's peak diagonal, which
     comes from the element tables. So a `verify` whose curl checks are
@@ -206,110 +269,42 @@ class HodgeDecomposer:
         self.tol = tol
         self.max_iter = max_iter
         self.tables, self._dof_edge, self._dof_face = build_element_tables(mesh)
-        self._grams = {}
-        self._peaks = {}
-        self._cycles = {}
-        self._vertex_system = None
+        self._systems = {}
         self._bases = {}
 
-    def _dofmap(self, space: str):
-        return self._dof_edge if space == "curl" else self._dof_face
-
-    def _gram(self, space: str, constrained: bool) -> SparseSymMatrix:
-        key = (space, constrained)
-        if key not in self._grams:
-            if constrained:
-                # Ned_0 and CR_0 are spanned by the interior dofs, so their
-                # system is the interior block of the unconstrained Gram
-                full = self._gram(space, False).csr
-                free = self._dofmap(space).interior_mask
-                self._grams[key] = SparseSymMatrix(csr=full[free][:, free])
-            else:
-                self._grams[key] = assemble_gram(self.mesh, self.tables,
-                                                 self._dofmap(space))
-        return self._grams[key]
-
-    def _peak_diagonal(self, space: str, constrained: bool) -> float:
-        """The largest diagonal entry of a system's Gram, from the element
-        tables: A_jj = sum_t vol(t) |d_tj|^2, so no Gram is assembled."""
-        key = (space, constrained)
-        if key not in self._peaks:
-            dofmap = self._dofmap(space)
-            d = _table_for(self.tables, dofmap)
-            diag = np.bincount(dofmap.tet_to_dof.ravel(), weights=(
-                self.mesh.volumes[:, None] * np.einsum("tld,tld->tl", d, d)
-            ).ravel(), minlength=dofmap.n_dofs)
-            if constrained:
-                diag = diag[dofmap.interior_mask]
-            self._peaks[key] = float(diag.max(initial=0.0))
-        return self._peaks[key]
-
-    def _cycle(self, constrained: bool):
-        """The auxiliary-space cycle that preconditions a face system.
-
-        Its vertex operator is the P1 Laplacian L = P^T A P of the
-        unconstrained face Gram A, with P the face-from-vertex averaging;
-        since P1_0 is a subspace of CR_0, the constrained system's vertex
-        operator is the interior-vertex block of that one L, and its P the
-        interior-face, interior-vertex block of P. P, L and the smoothing
-        bound are built once per engine.
-        """
-        if constrained not in self._cycles:
-            mesh = self.mesh
-            if self._vertex_system is None:
-                n_f = mesh.n_f
-                P = csr_matrix((np.full(3 * n_f, 1.0 / 3.0), mesh.faces.ravel(),
-                                np.arange(0, 3 * n_f + 1, 3)),
-                               shape=(n_f, mesh.n_v))
-                A = self._gram("grad", False).csr
-                self._vertex_system = (P, (P.T @ (A @ P)).tocsr(),
-                                       _smoothing_bound(self.tables))
-            P, L, bound = self._vertex_system
-            A = self._gram("grad", constrained).csr
-            if constrained:
-                rows, cols = self._dof_face.interior_mask, ~mesh.boundary_vertex
-                P, L = P[rows][:, cols], L[cols][:, cols]
-            self._cycles[constrained] = auxiliary_space_cycle(A, P, L, bound)
-        return self._cycles[constrained]
+    def _system(self, space: str, constrained: bool) -> _System:
+        if (space, constrained) not in self._systems:
+            self._systems[space, constrained] = _System(
+                space, self.mesh, self.tables,
+                self._dof_edge if space == "curl" else self._dof_face,
+                self._system(space, False) if constrained else None)
+        return self._systems[space, constrained]
 
     def _project(self, X: Pcvf, space: str, constrained: bool,
                  reports: list | None = None, prefix: str = "") -> Pcvf:
         """L2-orthogonal projection; appends (stage, report) to `reports`."""
         if X.mesh is not self.mesh:
             raise FieldError("field does not live on this decomposer's mesh")
-        stage = prefix + _stage(space, constrained)
-        dofmap = self._dofmap(space)
+        system = self._system(space, constrained)
+        stage, dofmap, free = prefix + system.stage, system.dofmap, system.free
         b = assemble_rhs(X, self.tables, dofmap)
         # Cauchy-Schwarz bounds every |b_j| by |X| * sqrt(A_jj); an rhs below
         # rounding level of that scale means the projection is zero, and
         # then the Gram is neither assembled nor solved with.
-        peak = self._peak_diagonal(space, constrained)
-        atol = 1e-13 * np.sqrt(sq_norm(X) * peak)
-        free = dofmap.interior_mask if constrained else slice(None)
+        atol = 1e-13 * np.sqrt(sq_norm(X) * system.peak)
         coeff = np.zeros(dofmap.n_dofs)
         if np.linalg.norm(b[free]) <= atol:
             report = SolveReport(iterations=0, relative_residual=0.0,
                                  converged=True)
         else:
-            M = self._cycle(constrained) if space == "grad" else None
-            kernel = self._face_solid() if space == "grad" and not constrained \
-                else None
             coeff[free], report = solve_spsd(
-                self._gram(space, constrained), b[free], tol=self.tol,
-                max_iter=self.max_iter, atol=atol, M=M, kernel=kernel)
+                system.gram, b[free], tol=self.tol, max_iter=self.max_iter,
+                atol=atol, M=system.M, kernel=system.kernel)
             if not report.converged:
                 raise ConvergenceError(stage, report)
         if reports is not None:
             reports.append((stage, report))
         return reconstruct(self.mesh, self.tables, dofmap, coeff)
-
-    def _face_solid(self) -> np.ndarray:
-        """The connected solid of every face; the constants on each solid's
-        faces span the kernel of the unconstrained face Gram."""
-        solid = self.mesh._tet_forest[1]
-        face_solid = np.empty(self.mesh.n_f, dtype=solid.dtype)
-        face_solid[self.mesh.tet_faces] = solid[:, None]
-        return face_solid
 
     def _surface_lifts(self):
         """Gradients of the CR functions that are 1 on the faces of one
@@ -318,7 +313,7 @@ class HodgeDecomposer:
         constant, whose gradient vanishes)."""
         mesh = self.mesh
         bfaces, label, _, n_surf = mesh._boundary_surfaces
-        face_solid = self._face_solid()
+        face_solid = self._system("grad", False).kernel
         surface_solid = np.empty(n_surf, dtype=face_solid.dtype)
         surface_solid[label] = face_solid[bfaces]
         unlifted = np.unique(surface_solid, return_index=True)[1]
@@ -567,7 +562,8 @@ class HodgeDecomposer:
                     value = comp_sq
                 else:
                     value = sq_norm(self._project(comp, space, constrained))
-                add(f"{name}_vs_{_stage(space, constrained)}", value, mem_bound)
+                stage = self._system(space, constrained).stage
+                add(f"{name}_vs_{stage}", value, mem_bound)
         return VerificationReport(checks=checks)
 
 
@@ -608,11 +604,15 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
         raise ValueError(f"probe count {probes} below required minimum "
                          f"{min_probes} (expected dimension {expected} "
                          f"+ {_SPARE_PROBES})")
-
     engine = HodgeDecomposer(mesh, tol=tol, max_iter=max_iter)
+    return _harmonic_dimension(engine, chain, probes, seed)
+
+
+def _harmonic_dimension(engine, chain: tuple, probes: int, seed: int) -> int:
+    """`estimate_harmonic_dimension` of a `chain` on an engine."""
     kept = []
     for i in range(probes):
-        comp = random_field(mesh, seed=[seed, i], normalize=True)
+        comp = random_field(engine.mesh, seed=[seed, i], normalize=True)
         for space, constrained, keep in chain:
             P = engine._project(comp, space, constrained)
             comp = P if keep == "projection" else combine(comp, P, 1.0, -1.0)

@@ -465,7 +465,9 @@ def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
     Cell data (one vector per tet) loads directly. Point data is only
     accepted with resample="barycentric", which averages the four vertex
     vectors of every tet, of the points read_mesh keeps; the conversion
-    is never applied silently.
+    is never applied silently. Of several arrays, the first cell vector
+    array is read, else the first point vector array; the others are
+    ignored.
     """
     path = os.fspath(path)
     return _field_of(path, mesh, _parse(path), resample)

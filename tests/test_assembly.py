@@ -56,7 +56,7 @@ def test_constrained_is_interior_restriction(torus_engine):
     tables, dof_edge, dof_face = h.build_element_tables(mesh)
     for space, dofmap in (("curl", dof_edge), ("grad", dof_face)):
         A = h.assemble_gram(mesh, tables, dofmap).csr
-        Ac = torus_engine._gram(space, True).csr
+        Ac = torus_engine._system(space, True).gram.csr
         i = dofmap.interior_mask
         assert Ac.shape == (int(i.sum()),) * 2
         assert (Ac != A[i][:, i]).nnz == 0
@@ -72,9 +72,17 @@ def test_engine_assembles_each_space_once(ball_tiny, monkeypatch):
 
     monkeypatch.setattr(h.hodge, "assemble_gram", counted)
     engine = h.HodgeDecomposer(ball_tiny)
-    for space in ("curl", "grad"):
-        for constrained in (True, False, True):
-            engine._gram(space, constrained)
+    keys = [(space, constrained) for space in ("curl", "grad")
+            for constrained in (True, False, True)]
+    # the peak diagonal comes from the element tables alone
+    for key in keys:
+        engine._system(*key).peak
+    assert calls == []
+    for key in keys:
+        system = engine._system(*key)
+        assert system is engine._systems[key]
+        for name in ("peak", "gram", "M", "kernel"):
+            getattr(system, name)
     assert sorted(calls) == ["edge_based", "face_based"]
 
 

@@ -146,6 +146,30 @@ def test_dims_torus(capsys):
     assert "neumann: 0 (expected 0)" in text
 
 
+@pytest.mark.parametrize("argv, probes", [
+    (["solid_torus", "--h", "0.25", "--probes", "8"], 8),
+    (["ball_with_cavity", "--h", "0.3", "--cavity-radius", "0.5"], None),
+], ids=["torus", "cavity"])
+def test_dims_builds_one_engine(monkeypatch, capsys, argv, probes):
+    # every subspace runs on one engine and prints what its own
+    # estimate_harmonic_dimension gives
+    meshes = []
+    build = h.hodge.build_element_tables
+
+    def counted(mesh):
+        meshes.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(h.hodge, "build_element_tables", counted)
+    assert main(["dims", "--domain", *argv, "--seed", "3"]) == 0
+    assert len(meshes) == 1
+    text = capsys.readouterr().out
+    for which in ("neumann", "dirichlet"):
+        est = h.estimate_harmonic_dimension(meshes[0], which, probes=probes,
+                                            seed=3)
+        assert f"{which}: {est} (expected " in text
+
+
 def test_dims_central_tiny_ball(capsys):
     code = main(["dims", "--domain", "ball", "--h", "0.5",
                  "--which", "central"])

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import hodge3d as h
 from hodge3d import hodge as hodge_module
+from hodge3d.cli import main
 from hodge3d.errors import FieldError
 
 from oracles import disjoint_union, renumbered
@@ -17,12 +20,11 @@ def _unit(X):
 
 def _random_member(engine, space, constrained, seed):
     """Unit-norm random element of one of the four ansatz spaces."""
-    dofmap = engine._dof_edge if space == "curl" else engine._dof_face
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(dofmap.n_dofs)
-    if constrained:
-        c[~dofmap.interior_mask] = 0.0
-    return _unit(h.reconstruct(engine.mesh, engine.tables, dofmap, c))
+    system = engine._system(space, constrained)
+    n = system.dofmap.n_dofs
+    c = np.zeros(n)
+    c[system.free] = np.random.default_rng(seed).standard_normal(n)[system.free]
+    return _unit(h.reconstruct(engine.mesh, engine.tables, system.dofmap, c))
 
 
 def test_projection_reproduces_members(torus_engine):
@@ -363,10 +365,28 @@ def test_peak_diagonal_matches_gram(ball_engine, cavity_engine, torus_engine):
     for engine in (ball_engine, cavity_engine, torus_engine):
         for space in ("curl", "grad"):
             for constrained in (False, True):
-                peak = engine._gram(space, constrained).diagonal().max()
-                got = engine._peak_diagonal(space, constrained)
+                system = engine._system(space, constrained)
+                peak = system.gram.diagonal().max()
+                got = system.peak
                 assert abs(got - peak) <= 4 * np.spacing(peak), \
                     (space, constrained)
+
+
+@pytest.mark.parametrize("domain", ["torus", "cavity"])
+def test_dropped_engine_is_freed_by_reference_counting(request, domain):
+    # no record the engine caches refers back to it, so dropping the engine
+    # frees it, and the Grams and cycles it holds, without the cyclic
+    # collector
+    gc.disable()
+    try:
+        engine = h.HodgeDecomposer(request.getfixturevalue(f"{domain}_coarse"))
+        X = h.random_field(engine.mesh, seed=12, normalize=True)
+        assert engine.verify(engine.decompose(X, "FULL")).passed
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_curl_projection_above_floor_still_solves(ball_coarse, monkeypatch):
@@ -603,6 +623,10 @@ def test_dimension_oracle_does_not_use_harmonic_bases(monkeypatch,
         got = tuple(h.estimate_harmonic_dimension(mesh, which)
                     for which in ("neumann", "dirichlet"))
         assert got == want
+    # the command line runs the same chains on one engine
+    for argv in (["ball_with_cavity", "--h", "0.25", "--cavity-radius", "0.5"],
+                 ["solid_torus", "--h", "0.2"]):
+        assert main(["dims", "--domain", *argv]) == 0
 
 
 @pytest.mark.parametrize("renumber", [False, True], ids=["torus", "renumbered"])

@@ -201,6 +201,26 @@ def test_token_errors_name_the_line_of_the_bad_token(tmp_path, ext, text,
     assert exc.value.line == line
 
 
+def test_field_file_with_several_arrays_gives_its_first(tmp_path, ball_tiny):
+    # read_field takes the first cell vector array and ignores the others
+    a = h.sample_analytic(ball_tiny, "X1").vectors
+    b = h.sample_analytic(ball_tiny, "X2").vectors
+    both, only_a = tmp_path / "ab.vtk", tmp_path / "a.vtk"
+    h.write_vtk(both, ball_tiny, {"a": a, "b": b})
+    h.write_vtk(only_a, ball_tiny, {"a": a})
+    mesh = h.read_mesh(both)
+    np.testing.assert_array_equal(h.read_field(both, mesh).vectors, a)
+    hashes = []
+    for path in (both, only_a):
+        out = tmp_path / path.stem
+        assert main(["decompose", "--mesh", str(path), "--field",
+                     f"file:{path}", "--scheme", "fd", "--out", str(out),
+                     "--formats", "json"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        hashes.append(report["input_hashes"]["field"])
+    assert hashes[0] == hashes[1]
+
+
 def test_shared_mesh_and_field_file_is_parsed_once(tmp_path, monkeypatch,
                                                    ball_tiny):
     vtk = tmp_path / "ball.vtk"

@@ -152,8 +152,8 @@ def test_face_cycle_is_symmetric_positive_definite(case):
         assert h.betti_numbers(mesh).b0 == 3
     engine = h.HodgeDecomposer(mesh)
     for constrained in (False, True):
-        cycle = engine._cycle(constrained)
-        n = engine._gram("grad", constrained).n
+        system = engine._system("grad", constrained)
+        cycle, n = system.M, system.gram.n
         M = np.column_stack([cycle(e) for e in np.eye(n)])
         assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()  # seen: 4e-16
         # raises LinAlgError unless positive definite (seen: lambda_min /
@@ -171,8 +171,8 @@ def test_preconditioned_projection_matches_jacobi(request, engine_name):
     for constrained in (False, True):
         free = dofmap.interior_mask if constrained else slice(None)
         coeff = np.zeros(dofmap.n_dofs)
-        coeff[free], rep = h.solve_spsd(engine._gram("grad", constrained),
-                                        b[free])
+        coeff[free], rep = h.solve_spsd(
+            engine._system("grad", constrained).gram, b[free])
         assert rep.converged
         Q = h.reconstruct(mesh, engine.tables, dofmap, coeff)
         P = engine.project_grad(X, constrained=constrained)
@@ -187,12 +187,13 @@ def test_kernel_labels_filter_each_solids_constant():
     ball = h.generate_voxel_domain("ball", 0.5)
     mesh = disjoint_union(ball, ball)
     engine = h.HodgeDecomposer(mesh)
-    labels = engine._face_solid()
+    labels = engine._system("grad", False).kernel
     assert labels.max() == 1  # two solids
     X = h.random_field(mesh, seed=4, normalize=True)
     b = h.assemble_rhs(X, engine.tables, engine._dof_face)
     b += 1e-3 * np.linalg.norm(b) * (labels == 1)
-    A, M = engine._gram("grad", False), engine._cycle(False)
+    system = engine._system("grad", False)
+    A, M = system.gram, system.M
     x, rep = h.solve_spsd(A, b, atol=0.0, M=M, kernel=labels)
     assert rep.converged
     Q = h.reconstruct(mesh, engine.tables, engine._dof_face, x)
@@ -212,9 +213,9 @@ def test_unconstrained_face_solve_reaches_tol_at_116k_tets():
     engine = h.HodgeDecomposer(mesh)
     b = h.assemble_rhs(h.sample_analytic(mesh, "X2"), engine.tables,
                        engine._dof_face)
-    _, rep = h.solve_spsd(engine._gram("grad", False), b, tol=engine.tol,
-                          atol=0.0, M=engine._cycle(False),
-                          kernel=engine._face_solid())
+    system = engine._system("grad", False)
+    _, rep = h.solve_spsd(system.gram, b, tol=engine.tol, atol=0.0,
+                          M=system.M, kernel=system.kernel)
     assert rep.converged
     assert rep.iterations <= 60  # seen: 53
 
@@ -229,10 +230,10 @@ def test_face_cycle_iterations_barely_grow():
         b = h.assemble_rhs(h.random_field(mesh, seed=4, normalize=True),
                            engine.tables, engine._dof_face)
         for constrained in (False, True):
-            gram = engine._gram("grad", constrained)
+            system = engine._system("grad", constrained)
             rhs = b[engine._dof_face.interior_mask] if constrained else b
-            _, jacobi = h.solve_spsd(gram, rhs)
-            _, cycle = h.solve_spsd(gram, rhs, M=engine._cycle(constrained))
+            _, jacobi = h.solve_spsd(system.gram, rhs)
+            _, cycle = h.solve_spsd(system.gram, rhs, M=system.M)
             assert jacobi.converged and cycle.converged
             assert 3 * cycle.iterations <= jacobi.iterations, (size, constrained)
             counts[size, constrained] = cycle.iterations
