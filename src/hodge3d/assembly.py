@@ -5,7 +5,9 @@ no quadrature order anywhere. The engine solves a boundary-constrained
 system on the interior block of the one Gram it assembles per space.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,28 +56,34 @@ def _table_for(tables: ElementTables, dofmap: DofMap) -> np.ndarray:
     raise ValueError(f"unknown dof kind '{dofmap.kind}'")
 
 
+def _chunk_gram(table, volumes, dofs, n: int) -> sp.csr_matrix:
+    """The Gram of the tets whose rows `table`, `volumes` and `dofs` hold."""
+    blocks = np.einsum("tld,tmd->tlm", table, table)
+    blocks *= volumes[:, None, None]
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape).ravel()
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape).ravel()
+    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
 def assemble_gram(mesh: TetMesh, tables: ElementTables,
                   dofmap: DofMap) -> SparseSymMatrix:
     """Gram matrix of the derivative basis: A_ij = sum_t vol(t) <d_i, d_j>."""
     table = _table_for(tables, dofmap)
-    n = dofmap.n_dofs
-    # COO indices in the dtype scipy keeps, so it makes no converted copies
-    dofs = dofmap.tet_to_dof.astype(np.int32 if n < 2**31 else np.int64)
-
-    acc = None
-    for start in range(0, mesh.n_t, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, mesh.n_t))
-        d = table[sl]
-        blocks = np.einsum("tld,tmd->tlm", d, d)
-        blocks *= mesh.volumes[sl, None, None]
-        rows = np.broadcast_to(dofs[sl][:, :, None], blocks.shape).ravel()
-        cols = np.broadcast_to(dofs[sl][:, None, :], blocks.shape).ravel()
-        part = sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        acc = part if acc is None else acc + part
+    chunks = (slice(start, start + _CHUNK) for start in range(0, mesh.n_t, _CHUNK))
+    # each chunk's temporaries die with its call, before the sum
+    acc = reduce(operator.add, (
+        _chunk_gram(table[sl], mesh.volumes[sl], dofmap.tet_to_dof[sl],
+                    dofmap.n_dofs) for sl in chunks))
     # a sum drops the zeros it makes; the first chunk's are dropped here
     acc.eliminate_zeros()
     acc.sum_duplicates()
     acc.sort_indices()
+    # scipy keeps a pruned array as a view of its unpruned buffer while the
+    # view is at least half of it, so the face Gram's 16 entries per tet,
+    # summed to 10-11, would keep the rest alive with the engine
+    for name in ("data", "indices"):
+        if getattr(acc, name).base is not None:
+            setattr(acc, name, getattr(acc, name).copy())
     return SparseSymMatrix(csr=acc)
 
 

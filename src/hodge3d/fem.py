@@ -26,7 +26,8 @@ class DofMap:
     kind : "edge_based" (one dof per edge) or "face_based" (one per face)
     interior_mask : True where the carrying simplex is interior; the
         boundary-constrained subspace keeps exactly the interior dofs.
-    tet_to_dof : (n_t, k) global dof index per tet-local edge/face
+    tet_to_dof : (n_t, k) int32 global dof index per tet-local edge/face:
+        the mesh's own tet_edges or tet_faces
     """
 
     kind: str

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from .assembly import (SparseSymMatrix, _table_for, assemble_gram,
                        assemble_rhs, reconstruct)
@@ -356,20 +356,22 @@ class HodgeDecomposer:
         n_if = len(owner)
         undetermined = ~mesh._tet_forest[2]
 
-        grads = tables.cr_gradients[owner, slot]
         local = _FACE_EDGES[slot]
         edge = mesh.tet_edges[owner[:, None], local]
         sign = (-1.0) ** (slot[:, None] + np.arange(3)) * \
             mesh.tet_edge_signs[owner[:, None], local]
+        del local
         edge = np.where(mesh.boundary_edge[edge], -1, edge)
         inner = edge >= 0
-        face_of = np.broadcast_to(np.arange(n_if)[:, None], edge.shape)[inner]
-        inc = csr_matrix((sign[inner], (edge[inner], face_of)),
-                         shape=(mesh.n_e, n_if))
+        # column f of inc holds the signs of face f's interior edges
+        inc = csc_matrix((sign[inner], edge[inner],
+                          np.r_[0, np.cumsum(inner.sum(axis=1))]),
+                         shape=(mesh.n_e, n_if)).tocsr()
         # open_count[e]: the undetermined faces of edge e; coeff: the jumps
         # of the faces in terms of the parameters (zero rows: undetermined)
-        open_count = np.bincount(edge[inner][undetermined[face_of]],
+        open_count = np.bincount(edge[inner & undetermined[:, None]],
                                  minlength=mesh.n_e)
+        del sign, inner     # the peeling reads only inc, edge and open_count
         used = np.zeros(mesh.n_e, dtype=bool)
         coeff = np.zeros((n_if, 0))
         while undetermined.any():
@@ -399,6 +401,7 @@ class HodgeDecomposer:
         equations = np.vstack([np.zeros(n_param), inc[unused] @ coeff])
         sv, vt = np.linalg.svd(np.linalg.qr(equations, mode="r"))[1:]
         null = vt[int((sv > 1e-9 * max(sv[0], 1.0)).sum()):].T
+        grads = tables.cr_gradients[owner, slot]
         for J in (coeff @ null).T:
             vectors = np.zeros((mesh.n_t, 3))
             np.add.at(vectors, owner, J[:, None] * grads)

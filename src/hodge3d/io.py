@@ -567,7 +567,8 @@ def make_report(result: DecompositionResult, extra: dict | None = None) -> dict:
             for stage, rep in result.solver_reports
         ],
         "input_hashes": {
-            "mesh": _sha256_arrays(mesh.vertices, mesh.tets),
+            # int64 tets, so the hash does not follow the stored index width
+            "mesh": _sha256_arrays(mesh.vertices, mesh.tets.astype(np.int64)),
             "field": _sha256_arrays(result.input.vectors),
         },
     }

@@ -28,6 +28,10 @@ __all__ = [
 _LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
+# Every connectivity array is int32, so a mesh holds at most this many
+# vertices, edges, faces and tets.
+_MAX_COUNT = 2**31 - 1
+
 
 class MeshCounts(NamedTuple):
     n_v: int
@@ -66,13 +70,13 @@ class TetMesh:
     Attributes
     ----------
     vertices : (n_v, 3) float array
-    tets : (n_t, 4) int array, positively oriented
-    edges : (n_e, 2) int array, each row (i, j) with i < j
-    faces : (n_f, 3) int array, each row sorted ascending
-    tet_edges : (n_t, 6) int array, global edge index per local edge
+    tets : (n_t, 4) int32 array, positively oriented
+    edges : (n_e, 2) int32 array, each row (i, j) with i < j
+    faces : (n_f, 3) int32 array, each row sorted ascending
+    tet_edges : (n_t, 6) int32 array, global edge index per local edge
     tet_edge_signs : (n_t, 6) int8 array, +1 iff the local directed edge
         agrees with the global low-to-high orientation
-    tet_faces : (n_t, 4) int array, global face index of the face opposite
+    tet_faces : (n_t, 4) int32 array, global face index of the face opposite
         local vertex k
     boundary_vertex, boundary_edge, boundary_face : boolean masks
     volumes : (n_t,) positive tet volumes
@@ -163,7 +167,7 @@ class TetMesh:
         n_bf = len(bface_ids)
         if n_bf == 0:
             raise NonManifoldError("complex has no boundary (not a solid in 3-space)")
-        bf = self.faces[bface_ids]
+        bf = self.faces[bface_ids].astype(np.int64)   # an int32 key wraps
         ekeys = np.concatenate([bf[:, 0] * n_v + bf[:, 1],
                                 bf[:, 0] * n_v + bf[:, 2],
                                 bf[:, 1] * n_v + bf[:, 2]])
@@ -229,6 +233,8 @@ def build_complex(vertices, tets) -> TetMesh:
     if tets.ndim != 2 or tets.shape[1] != 4 or len(tets) == 0:
         raise MeshError("at least one tetrahedron (4 vertex indices) is required")
     n_v = len(vertices)
+    _check_count(n_v, "vertices")
+    _check_count(len(tets), "tets")
     if tets.min() < 0 or tets.max() >= n_v:
         raise MeshError("tetrahedron vertex index out of range")
     used = np.zeros(n_v, dtype=bool)
@@ -237,44 +243,51 @@ def build_complex(vertices, tets) -> TetMesh:
         raise MeshError(f"{int((~used).sum())} vertices are not referenced by any tet")
 
     canon = np.sort(tets, axis=1)
-    if len(np.unique(canon, axis=0)) != len(canon):
+    canon = canon[np.lexsort(canon.T)]
+    if (canon[1:] == canon[:-1]).all(axis=1).any():
         raise NonManifoldError("duplicate tetrahedron (same vertex set appears twice)")
+    del canon
 
     # Scale-invariant degeneracy guard relative to the bounding box.
     span = vertices.max(axis=0) - vertices.min(axis=0)
     diag = float(np.linalg.norm(span))
     eps_vol = 1e-12 * diag**3
 
-    edge_mat = vertices[tets[:, 1:]] - vertices[tets[:, :1]]
-    det = np.linalg.det(edge_mat)
+    det = np.linalg.det(vertices[tets[:, 1:]] - vertices[tets[:, :1]])
     volumes = np.abs(det) / 6.0
     if (volumes <= eps_vol).any():
         t = int(np.argmax(volumes <= eps_vol))
         raise MeshError(f"degenerate tetrahedron {t} (volume {volumes[t]:.3e} "
                         f"<= threshold {eps_vol:.3e})")
     flip = det < 0.0
+    del det
     if flip.any():
         tets = tets.copy()
         tmp = tets[flip, 2].copy()
         tets[flip, 2] = tets[flip, 3]
         tets[flip, 3] = tmp
 
+    # The keys are int64 and every stored index array int32; each
+    # temporary is dropped as soon as it is used, since the face
+    # enumeration sets the memory peak of a build.
     n_t = len(tets)
 
     ev = tets[:, _LOCAL_EDGES]                          # (n_t, 6, 2)
-    ekey = ev.min(axis=-1) * n_v + ev.max(axis=-1)
-    edge_keys, tet_edges = np.unique(ekey, return_inverse=True)
-    tet_edges = tet_edges.reshape(n_t, 6)
-    edges = np.stack([edge_keys // n_v, edge_keys % n_v], axis=1)
     tet_edge_signs = np.where(ev[..., 0] < ev[..., 1], 1, -1).astype(np.int8)
+    ekey = ev.min(axis=-1) * n_v + ev.max(axis=-1)
+    del ev
+    edge_keys, tet_edges = _enumerate(ekey, "edges")
+    del ekey
 
     fv = np.sort(tets[:, _LOCAL_FACES], axis=-1)        # (n_t, 4, 3)
     fkey = (fv[..., 0] * n_v + fv[..., 1]) * n_v + fv[..., 2]
-    face_keys, tet_faces = np.unique(fkey, return_inverse=True)
-    tet_faces = tet_faces.reshape(n_t, 4)
+    del fv
+    face_keys, tet_faces = _enumerate(fkey, "faces")
+    del fkey
     faces = np.stack([face_keys // (n_v * n_v),
                       (face_keys // n_v) % n_v,
                       face_keys % n_v], axis=1)
+    del face_keys
 
     incidence = np.bincount(tet_faces.ravel(), minlength=len(faces))
     if (incidence > 2).any():
@@ -289,11 +302,27 @@ def build_complex(vertices, tets) -> TetMesh:
     be_keys = np.unique(np.concatenate([bf[:, 0] * n_v + bf[:, 1],
                                         bf[:, 0] * n_v + bf[:, 2],
                                         bf[:, 1] * n_v + bf[:, 2]]))
-    boundary_edge = np.zeros(len(edges), dtype=bool)
+    boundary_edge = np.zeros(len(edge_keys), dtype=bool)
     boundary_edge[np.searchsorted(edge_keys, be_keys)] = True
+    edges = np.stack([edge_keys // n_v, edge_keys % n_v], axis=1)
 
-    return TetMesh(vertices, tets, edges, faces, tet_edges, tet_edge_signs,
-                   tet_faces, boundary_vertex, boundary_edge, boundary_face, volumes)
+    return TetMesh(vertices, tets.astype(np.int32), edges.astype(np.int32),
+                   faces.astype(np.int32), tet_edges, tet_edge_signs, tet_faces,
+                   boundary_vertex, boundary_edge, boundary_face, volumes)
+
+
+def _check_count(n: int, what: str):
+    if n > _MAX_COUNT:
+        raise MeshError(f"{n} {what}: a mesh holds at most {_MAX_COUNT} "
+                        "(its indices are int32)")
+
+
+def _enumerate(keys, what: str):
+    """The distinct entries of `keys`, ascending, and the int32 number of
+    each entry among them, in the shape of `keys`."""
+    distinct, number = np.unique(keys, return_inverse=True)
+    _check_count(len(distinct), what)
+    return distinct, number.reshape(keys.shape).astype(np.int32)
 
 
 def _interior_face_tets(mesh: TetMesh):
@@ -301,9 +330,13 @@ def _interior_face_tets(mesh: TetMesh):
     owner is the lower-indexed tet and the face is its local face `slot`."""
     flat = mesh.tet_faces.ravel()
     order = np.argsort(flat, kind="stable")
-    pair = np.flatnonzero(flat[order][1:] == flat[order][:-1])
-    owner, slot = np.divmod(order[pair], 4)
-    return owner, slot, order[pair + 1] // 4
+    flat = flat[order]
+    pair = np.flatnonzero(flat[1:] == flat[:-1])
+    del flat
+    first, second = order[pair], order[pair + 1]
+    del order, pair
+    return ((first // 4).astype(np.int32), (first % 4).astype(np.int32),
+            (second // 4).astype(np.int32))
 
 
 def _spanning_forest(n: int, a, b):
@@ -325,15 +358,17 @@ def _spanning_forest(n: int, a, b):
         numbers them) and a mask of the forest's edges.
     """
     m = len(a)
-    # 4-byte indices halve the temporaries: at 1M tets 8-byte ones left
-    # about 20 MB of heap resident after the call
-    idx = np.int32 if max(n, m) < 2**31 else np.int64
+    # 4-byte indices halve the temporaries (at 1M tets 8-byte ones left
+    # about 20 MB of heap resident after the call); every count of a mesh
+    # fits them
+    idx = np.int32
     parent = np.arange(n, dtype=idx)
     in_forest = np.zeros(m, dtype=bool)
     # per root, the position in `live` of its lightest crossing edge (m: none)
     best = np.full(n, m, dtype=idx)
     # the crossing edges, ascending, and the roots of their two ends
-    live, ra, rb = np.arange(m, dtype=idx), a.astype(idx), b.astype(idx)
+    live = np.arange(m, dtype=idx)
+    ra, rb = a.astype(idx, copy=False), b.astype(idx, copy=False)
     while True:
         cross = ra != rb
         live, ra, rb = live[cross], ra[cross], rb[cross]
@@ -553,6 +588,38 @@ def _fit_boundary(verts, tets, boundary, closest):
         scale[near[thin]] *= 0.5    # once per vertex, however many thin tets
 
 
+def _voxel_complex(domain, indicator, half_extent, h):
+    """Vertices, int32 tets and boundary-vertex mask of the Kuhn split of
+    every lattice cube whose center the indicator keeps. The lattice's
+    temporaries are freed on return, before the complex is built."""
+    lo = [int(np.floor(-ext / h)) - 1 for ext in half_extent]
+    hi = [int(np.ceil(ext / h)) + 1 for ext in half_extent]
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    ci, cj, ck = np.meshgrid(*axes, indexing="ij")
+    cx = (ci + 0.5) * h
+    cy = (cj + 0.5) * h
+    cz = (ck + 0.5) * h
+    mask = indicator(cx, cy, cz)
+    if not mask.any():
+        raise TopologyError(f"domain '{domain}' contains no voxel centers at h={h}")
+
+    kept = np.stack([ci[mask], cj[mask], ck[mask]], axis=1)      # (K, 3)
+    corners = kept[:, None, :] + _CUBE_OFFSETS[None, :, :]       # (K, 8, 3)
+    base = np.array([a - 1 for a in lo], dtype=np.int64)
+    dims = np.array([b - a + 3 for a, b in zip(lo, hi)], dtype=np.int64)
+    rel = corners - base
+    keys = (rel[..., 0] * dims[1] + rel[..., 1]) * dims[2] + rel[..., 2]
+    ukeys, corner_ids = _enumerate(keys, "vertices")
+
+    lat = np.stack([ukeys // (dims[1] * dims[2]),
+                    (ukeys // dims[2]) % dims[1],
+                    ukeys % dims[2]], axis=1) + base
+    verts = lat.astype(np.float64) * h
+    # a lattice vertex is on the boundary iff a cube around it is not kept
+    boundary = np.bincount(corner_ids.ravel(), minlength=len(verts)) < 8
+    return verts, corner_ids[:, _KUHN_TETS].reshape(-1, 4), boundary
+
+
 _FITS = ("surface", "voxel")
 
 
@@ -607,34 +674,8 @@ def generate_voxel_domain(domain: str, h: float, fit: str = "surface",
         raise MeshError(f"h={h} is too small for domain '{domain}': its "
                         "lattice would have 2**63 corners or more")
 
-    lo = [int(np.floor(-ext / h)) - 1 for ext in half_extent]
-    hi = [int(np.ceil(ext / h)) + 1 for ext in half_extent]
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    ci, cj, ck = np.meshgrid(*axes, indexing="ij")
-    cx = (ci + 0.5) * h
-    cy = (cj + 0.5) * h
-    cz = (ck + 0.5) * h
-    mask = indicator(cx, cy, cz)
-    if not mask.any():
-        raise TopologyError(f"domain '{domain}' contains no voxel centers at h={h}")
-
-    kept = np.stack([ci[mask], cj[mask], ck[mask]], axis=1)      # (K, 3)
-    corners = kept[:, None, :] + _CUBE_OFFSETS[None, :, :]       # (K, 8, 3)
-    base = np.array([a - 1 for a in lo], dtype=np.int64)
-    dims = np.array([b - a + 3 for a, b in zip(lo, hi)], dtype=np.int64)
-    rel = corners - base
-    keys = (rel[..., 0] * dims[1] + rel[..., 1]) * dims[2] + rel[..., 2]
-    ukeys, corner_ids = np.unique(keys, return_inverse=True)
-    corner_ids = corner_ids.reshape(corners.shape[:2])
-
-    lat = np.stack([ukeys // (dims[1] * dims[2]),
-                    (ukeys // dims[2]) % dims[1],
-                    ukeys % dims[2]], axis=1) + base
-    verts = lat.astype(np.float64) * h
-    tets = corner_ids[:, _KUHN_TETS].reshape(-1, 4)
+    verts, tets, boundary = _voxel_complex(domain, indicator, half_extent, h)
     if fit == "surface":
-        # a lattice vertex is on the boundary iff a cube around it is not kept
-        boundary = np.bincount(corner_ids.ravel(), minlength=len(verts)) < 8
         verts = _fit_boundary(verts, tets, boundary, closest)
 
     mesh = build_complex(verts, tets)

@@ -62,6 +62,23 @@ def test_constrained_is_interior_restriction(torus_engine):
         assert (Ac != A[i][:, i]).nnz == 0
 
 
+@pytest.mark.parametrize("engine", ["ball_engine", "torus_engine"])
+def test_gram_storage_and_index_dtypes(engine, request):
+    engine = request.getfixturevalue(engine)
+    mesh = engine.mesh
+    for a in (mesh.tets, mesh.edges, mesh.faces, mesh.tet_edges, mesh.tet_faces,
+              *h.mesh._interior_face_tets(mesh)):
+        assert a.dtype == np.int32
+    for space in ("curl", "grad"):
+        for constrained in (False, True):
+            system = engine._system(space, constrained)
+            assert system.dofmap.tet_to_dof.dtype == np.int32
+            A = system.gram.csr
+            # no spare buffer stays behind a Gram's arrays
+            for a in (A.data, A.indices):
+                assert (a if a.base is None else a.base).size == A.nnz
+
+
 def test_engine_assembles_each_space_once(ball_tiny, monkeypatch):
     calls = []
     assemble = h.hodge.assemble_gram

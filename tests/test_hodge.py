@@ -634,13 +634,13 @@ def test_cut_signs_match_the_curl_table(monkeypatch, torus_coarse, renumber):
     # the cut's incidence signs come from the edge orientations; the
     # reference is vol * <CR gradient, Nedelec curl> rounded to +-1
     mesh = renumbered(torus_coarse) if renumber else torus_coarse
-    built, original = [], hodge_module.csr_matrix
+    built, original = [], hodge_module.csc_matrix
 
     def recorded(arg, **kwargs):
         built.append(arg)
         return original(arg, **kwargs)
 
-    monkeypatch.setattr(hodge_module, "csr_matrix", recorded)
+    monkeypatch.setattr(hodge_module, "csc_matrix", recorded)
     engine = h.HodgeDecomposer(mesh)
     cuts = list(engine._cut_fields())
     assert "ned_curls" not in vars(engine.tables)
@@ -654,7 +654,7 @@ def test_cut_signs_match_the_curl_table(monkeypatch, torus_coarse, renumber):
         "fd,fld->fl", tables.cr_gradients[owner, slot],
         tables.ned_curls[owner[:, None], local]))
     inner = ~mesh.boundary_edge[edge]
-    [(sign, (rows, _))] = built
+    [(sign, rows, _)] = built
     assert np.array_equal(rows, edge[inner])
     assert np.array_equal(sign, reference[inner])
     # so each cut field is orthogonal to curl Ned_0 to rounding

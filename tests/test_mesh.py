@@ -28,6 +28,10 @@ def test_two_tet_counts(two_tet):
 def test_duplicate_tet_rejected():
     with pytest.raises(NonManifoldError):
         h.build_complex(REF_VERTS, [(0, 1, 2, 3), (1, 0, 3, 2)])
+    # a twin that is not next to its tet, its vertices in another order
+    verts = REF_VERTS + [(1.0, 1.0, 1.0)]
+    with pytest.raises(NonManifoldError, match="duplicate tetrahedron"):
+        h.build_complex(verts, [(0, 1, 2, 3), (1, 2, 3, 4), (2, 0, 3, 1)])
 
 
 def test_three_tets_on_one_face_rejected():
@@ -340,3 +344,55 @@ def test_mesh_arrays_immutable(ref_tet):
         ref_tet.vertices[0, 0] = 5.0
     with pytest.raises(ValueError):
         ref_tet.tets[0, 0] = 2
+
+
+@pytest.mark.parametrize("what", ["vertices", "tets", "edges", "faces"])
+def test_counts_beyond_int32_rejected(ball_tiny, monkeypatch, what):
+    # the limit on each count, lowered to one below the mesh's own
+    n = getattr(ball_tiny, "n_" + what[0])
+    monkeypatch.setattr(h.mesh, "_MAX_COUNT", n - 1)
+    with pytest.raises(MeshError, match=f"{n} {what}"):
+        h.build_complex(ball_tiny.vertices, ball_tiny.tets)
+    if what == "vertices":
+        with pytest.raises(MeshError, match=f"{n} {what}"):
+            h.generate_voxel_domain("ball", 0.5)
+
+
+def test_boundary_keys_past_int32(monkeypatch):
+    """Boundary edge keys i * n_v + j pass 2**31 once n_v > 46341; an int32
+    key wraps, and past n_v = 65536 two edges can share a wrapped key. The
+    vertices of a rod with 65,715 of them are renumbered so that the
+    boundary edges (0, t) and (d, r + t) do, with d * n_v + r = 2**32."""
+    rod = h.generate_voxel_domain("box", 1.0, fit="voxel", extents=(4380, 2, 4))
+    n_v = rod.n_v
+    d, r = divmod(2**32, n_v)
+    t = n_v - r - 1
+    assert n_v > 65536 and 0 < t and d < r + t < n_v and t != d
+    bedges = rod.edges[rod.boundary_edge]
+    e1 = bedges[0]
+    e2 = next(e for e in bedges if not np.isin(e, e1).any())
+    new = np.full(n_v, -1)
+    new[[*e2, *e1]] = [0, t, d, r + t]
+    new[new < 0] = np.setdiff1d(np.arange(n_v), new)
+    verts = np.empty_like(rod.vertices)
+    verts[new] = rod.vertices
+    mesh = h.build_complex(verts, new[rod.tets])
+
+    # the int64 reference: the same arrays, with int64 indices
+    wide = h.TetMesh(*(a.astype(np.int64) if a.dtype == np.int32 else a
+                       for a in (mesh.vertices, mesh.tets, mesh.edges, mesh.faces,
+                                 mesh.tet_edges, mesh.tet_edge_signs, mesh.tet_faces,
+                                 mesh.boundary_vertex, mesh.boundary_edge,
+                                 mesh.boundary_face, mesh.volumes)))
+    assert h.betti_numbers(mesh) == h.betti_numbers(wide) == (1, 0, 0)
+    for got, want in zip(mesh._boundary_surfaces, wide._boundary_surfaces):
+        assert np.array_equal(got, want)
+    faces = wide.faces
+    boundary_face = np.bincount(wide.tet_faces.ravel(), minlength=len(faces)) == 1
+    bf = faces[boundary_face]
+    keys = np.concatenate([bf[:, 0] * n_v + bf[:, 1], bf[:, 0] * n_v + bf[:, 2],
+                           bf[:, 1] * n_v + bf[:, 2]])
+    assert np.array_equal(mesh.boundary_face, boundary_face)
+    assert np.array_equal(mesh.boundary_edge,
+                          np.isin(wide.edges[:, 0] * n_v + wide.edges[:, 1], keys))
+    assert np.array_equal(mesh.boundary_vertex, np.isin(np.arange(n_v), bf))
