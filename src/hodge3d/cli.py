@@ -8,19 +8,19 @@ parsed arguments. `_check` applies every flag rule that needs no mesh
 before a mesh is built; generate_voxel_domain checks --h and the domain
 parameters, and `dims` checks --probes against the mesh's topology.
 `_decompose_levels` alone puts a decomposition's mesh, field and engine
-together. Exit
-codes: 0 success, 1 input error (a bad flag value included) or a failed
-allocation, 2 solver non-convergence. All randomness flows through
-explicit --seed flags; HODGE3D_THREADS caps sweep workers.
+together, and runs every level of `decompose` and `sweep` in turn, in the
+calling process. Exit codes: 0 success, 1 input error (a bad flag value
+included) or a failed allocation, 2 solver non-convergence. All
+randomness flows through explicit --seed flags.
 """
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from ._version import __version__
 from .errors import ConvergenceError, Hodge3dError
@@ -38,60 +38,68 @@ class _UsageError(ValueError):
     pass
 
 
-def _build_mesh(ns):
+def _build_mesh(ns, h):
     if ns.mesh is not None:
         return read_mesh(ns.mesh)
-    return generate_voxel_domain(ns.domain, ns.h, **_domain_params(ns))
+    return generate_voxel_domain(ns.domain, h, **_domain_params(ns))
 
 
-def _file_field(ns):
-    """The field of a file: field on the file's own mesh, from one parse;
-    None for an analytic field."""
-    if ns.field.startswith("file:"):
-        return _read_mesh_and_field(ns.field[5:], resample=ns.resample)[1]
+def _file_field(path, ns):
+    """The field of the file at `path`, on the file's own mesh."""
+    return _read_mesh_and_field(path, resample=ns.resample)[1]
 
 
-def _decompose_levels(ns, levels, source=None):
-    """Build the mesh, the field and the engine of `ns` once, then
-    decompose the field with noise factor rho at every (rho, out) level on
-    that engine, writing the level's outputs to `out` unless it is None.
+def _decompose_levels(ns, levels):
+    """Decompose the field of `ns` at every (h, rho, out) level in turn, in
+    this process: on the mesh of voxel size h (--mesh when it is given),
+    with noise factor rho, writing the level's outputs to `out` unless it
+    is None. Levels in a row with one h share one mesh, field and engine.
     Yields each level's result and written paths in turn.
 
-    A file: field is parsed once, here unless `source` is its
-    `_file_field`. When the file is --mesh, the run takes the file's own
-    mesh and field; any other mesh takes the field by nearest-barycenter
-    transfer, which is exact on an identical mesh."""
+    A file: field is parsed once. When the file is --mesh, the run takes
+    the file's own mesh and field; any other mesh takes the field by
+    nearest-barycenter transfer, which is exact on an identical mesh."""
     path = ns.field[5:] if ns.field.startswith("file:") else None
-    if path is not None and ns.mesh is not None and \
-            os.path.abspath(path) == os.path.abspath(ns.mesh):
-        X = source or _file_field(ns)
-        mesh = X.mesh
-    else:
-        mesh = _build_mesh(ns)  # its errors come before the field file's
-        if path is None:
-            X = sample_analytic(mesh, ns.field)
+    own = path is not None and ns.mesh is not None and \
+        os.path.abspath(path) == os.path.abspath(ns.mesh)
+    meshes = [(h, list(group)) for h, group in
+              itertools.groupby(levels, key=lambda level: level[0])]
+    vectors = tree = None
+    for h, group in meshes:
+        if own:  # --mesh: one mesh for every level
+            X = _file_field(path, ns)
+            mesh = X.mesh
         else:
-            from scipy.spatial import cKDTree
-            X = source or _file_field(ns)
-            idx = cKDTree(X.mesh.barycenters()).query(mesh.barycenters())[1]
-            X = Pcvf(mesh, X.vectors[idx])
-    engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
-    mesh_src = ns.mesh if ns.mesh is not None else \
-        f"{ns.domain};h={ns.h};{sorted(_domain_params(ns).items())}"
-    for rho, out in levels:
-        result = engine.decompose(add_noise(X, rho, ns.seed) if rho > 0 else X,
-                                  ns.scheme)
-        paths = []
-        if out:
-            paths = write_outputs(result, out, ns.formats, extra={
-                "inputs": {"mesh": mesh_src, "field": ns.field, "rho": rho,
-                           "seed": ns.seed},
-                "tolerances": {"tol": ns.tol, "max_iter": ns.max_iter}})
-        yield result, paths
+            mesh = _build_mesh(ns, h)  # its errors come before the field file's
+            if path is None:
+                X = sample_analytic(mesh, ns.field)
+            else:
+                if tree is None:
+                    from scipy.spatial import cKDTree
+                    X = _file_field(path, ns)
+                    tree, vectors = cKDTree(X.mesh.barycenters()), X.vectors
+                X = Pcvf(mesh, vectors[tree.query(mesh.barycenters())[1]])
+                if group is meshes[-1][1]:  # the source goes before the solves
+                    vectors = tree = None
+        engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
+        mesh_src = ns.mesh if ns.mesh is not None else \
+            f"{ns.domain};h={h};{sorted(_domain_params(ns).items())}"
+        for _, rho, out in group:
+            result = engine.decompose(
+                add_noise(X, rho, ns.seed) if rho > 0 else X, ns.scheme)
+            paths = []
+            if out:
+                paths = write_outputs(result, out, ns.formats, extra={
+                    "inputs": {"mesh": mesh_src, "field": ns.field, "rho": rho,
+                               "seed": ns.seed},
+                    "tolerances": {"tol": ns.tol, "max_iter": ns.max_iter}})
+            yield result, paths
+        # this mesh's engine goes before the next mesh is built
+        del mesh, X, engine, result
 
 
 def _cmd_decompose(ns) -> int:
-    for result, paths in _decompose_levels(ns, [(ns.rho, ns.out)]):
+    for result, paths in _decompose_levels(ns, [(ns.h, ns.rho, ns.out)]):
         print(f"scheme {result.scheme}: input squared norm "
               f"{result.input_sq_norm:.6g}")
         fractions = result.fractions()
@@ -159,7 +167,7 @@ def _cmd_validate(ns) -> int:
 
 
 def _cmd_dims(ns) -> int:
-    mesh = _build_mesh(ns)
+    mesh = _build_mesh(ns, ns.h)
     expected = {which: _expected_dimension(mesh, which) for which in ns.which}
     need = max(expected.values(), default=0) + _SPARE_PROBES
     if ns.probes is not None and ns.probes < need:
@@ -185,57 +193,32 @@ def _sweep_levels(ns) -> list:
     return [(kind, v, f"{kind}_{v:g}") for v in values]
 
 
-def _sweep_rows(ns, levels, source) -> list:
-    """The summary of every (rho, out) level of one sweep mesh."""
-    rows = []
-    for result, _ in _decompose_levels(ns, levels, source):
+def _cmd_sweep(ns) -> int:
+    """A rho sweep runs all its levels on one mesh, at its single --h (None
+    with --mesh); an h sweep has one mesh per level."""
+    sweep = _sweep_levels(ns)
+    h = ns.h[0] if ns.h else None
+    levels = []
+    for kind, value, label in sweep:
+        out = os.path.join(ns.out, label) if ns.out else None
+        levels.append((value, ns.rho, out) if kind == "h" else (h, value, out))
+    comp_names = SCHEME_COMPONENTS[ns.scheme.upper()]
+    rows, results = [], _decompose_levels(ns, levels)
+    for kind, value, label in sweep:
+        result = next(results)[0]
         fractions = result.fractions()
-        rows.append({"n_t": result.input.mesh.n_t,
+        rows.append({"kind": kind, "level": value, "n_t": result.input.mesh.n_t,
                      "input_sq_norm": result.input_sq_norm})
         for name in result.components:
             rows[-1][f"{name}_sq_norm"] = result.sq_norms[name]
             rows[-1][f"{name}_fraction"] = fractions[name]
-    return rows
-
-
-def _cmd_sweep(ns) -> int:
-    """A rho sweep is one mesh carrying all its levels, at its single --h
-    (None with --mesh); an h sweep is one mesh per level. HODGE3D_THREADS
-    caps the worker processes, one mesh each, so a rho sweep runs here."""
-    threads = os.environ.get("HODGE3D_THREADS", "1") or "1"
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise _UsageError("HODGE3D_THREADS must be an integer, "
-                          f"got '{threads}'") from None
-    sweep = _sweep_levels(ns)
-    outs = [os.path.join(ns.out, label) if ns.out else None
-            for _, _, label in sweep]
-    if ns.rho_levels:
-        hs = [ns.h[0] if ns.h else None]
-        levels = [list(zip(ns.rho_levels, outs))]
-    else:
-        hs, levels = ns.h, [[(ns.rho, out)] for out in outs]
-    meshes = [argparse.Namespace(**{**vars(ns), "h": h}) for h in hs]
-    args = (_sweep_rows, meshes, levels, [_file_field(ns)] * len(meshes))
-    workers = min(workers, len(meshes))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_mesh = list(pool.map(*args))
-    else:
-        per_mesh = list(map(*args))
-    flat = [row for mesh_rows in per_mesh for row in mesh_rows]
-    rows = [{"kind": kind, "level": value, **row}
-            for (kind, value, _), row in zip(sweep, flat)]
-
-    comp_names = SCHEME_COMPONENTS[ns.scheme.upper()]
-    fieldnames = ["kind", "level", "n_t", "input_sq_norm"]
-    for name in comp_names:
-        fieldnames += [f"{name}_sq_norm", f"{name}_fraction"]
-    for (_, _, label), row in zip(sweep, rows):
-        print(f"{label}: " + " ".join(
-            f"{name}={row[f'{name}_fraction']:.4f}" for name in comp_names))
+        print(f"{label}: " + " ".join(f"{name}={fractions[name]:.4f}"
+                                      for name in comp_names))
+        del result  # a level's mesh and fields go before the next level runs
     if ns.out:
+        fieldnames = ["kind", "level", "n_t", "input_sq_norm"]
+        for name in comp_names:
+            fieldnames += [f"{name}_sq_norm", f"{name}_fraction"]
         os.makedirs(ns.out, exist_ok=True)
         path = os.path.join(ns.out, "summary.csv")
         with open(path, "w", newline="\n") as f:

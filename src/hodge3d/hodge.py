@@ -26,7 +26,7 @@ from .assembly import (SparseSymMatrix, _table_for, assemble_gram,
 from .errors import ConvergenceError, FieldError
 from .fem import _chunks, build_element_tables
 from .fields import Pcvf, combine, l2_inner, random_field, sq_norm
-from .mesh import _LOCAL_EDGES, TetMesh, _interior_face_tets, betti_numbers
+from .mesh import _FACE_EDGES, TetMesh, _interior_face_tets, betti_numbers
 from .solver import SolveReport, auxiliary_space_cycle, solve_spsd
 
 __all__ = [
@@ -110,10 +110,6 @@ _DIMENSION_SOURCES = {
 }
 # Probes the dimension oracle takes beyond the expected dimension, at least.
 _SPARE_PROBES = 5
-
-# Tet-local edges of the face opposite each local vertex.
-_FACE_EDGES = np.array([[j for j, e in enumerate(_LOCAL_EDGES) if k not in e]
-                        for k in range(4)])
 
 
 @dataclass

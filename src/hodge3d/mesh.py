@@ -27,6 +27,9 @@ __all__ = [
 # _LOCAL_EDGES[l]; face k is opposite local vertex k.
 _LOCAL_EDGES = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 _LOCAL_FACES = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
+# Tet-local edges of the face opposite each local vertex.
+_FACE_EDGES = np.array([[j for j, e in enumerate(_LOCAL_EDGES) if k not in e]
+                        for k in range(4)])
 
 # Every connectivity array is int32, so a mesh holds at most this many
 # vertices, edges, faces and tets.
@@ -193,7 +196,13 @@ class TetMesh:
         return float(self.volumes.sum())
 
     def barycenters(self) -> np.ndarray:
-        return self.vertices[self.tets].mean(axis=1)
+        # bit-equal to vertices[tets].mean(axis=1), without its n_t x 4 x 3
+        # gather
+        b = self.vertices[self.tets[:, 0]]
+        for k in (1, 2, 3):
+            b += self.vertices[self.tets[:, k]]
+        b /= 4
+        return b
 
     def __repr__(self):
         c = self.counts
@@ -279,15 +288,16 @@ def build_complex(vertices, tets) -> TetMesh:
     edge_keys, tet_edges = _enumerate(ekey, "edges")
     del ekey
 
-    fv = np.sort(tets[:, _LOCAL_FACES], axis=-1)        # (n_t, 4, 3)
-    fkey = (fv[..., 0] * n_v + fv[..., 1]) * n_v + fv[..., 2]
-    del fv
+    # A face i < j < k is (number of its lowest edge (i, j), k); edges are
+    # numbered in (i, j) order, so faces come in (i, j, k) order, and the
+    # keys stay below n_e * n_v < 2**62.
+    fkey = tet_edges[:, _FACE_EDGES].min(axis=-1) * np.int64(n_v) + \
+        tets[:, _LOCAL_FACES].max(axis=-1)
     face_keys, tet_faces = _enumerate(fkey, "faces")
     del fkey
-    faces = np.stack([face_keys // (n_v * n_v),
-                      (face_keys // n_v) % n_v,
-                      face_keys % n_v], axis=1)
-    del face_keys
+    low = edge_keys[face_keys // n_v]
+    faces = np.stack([low // n_v, low % n_v, face_keys % n_v], axis=1)
+    del face_keys, low
 
     incidence = np.bincount(tet_faces.ravel(), minlength=len(faces))
     if (incidence > 2).any():

@@ -35,7 +35,8 @@ def test_star_import():
 def test_runs_load_no_dense_linear_algebra(tmp_path):
     # scipy.sparse.csgraph imports scipy.linalg and its own BLAS; no run
     # needs either. scipy.spatial is needed only to move a field file to
-    # another mesh. Checked in a fresh process, since this one may hold them.
+    # another mesh, and no run starts a worker process. Checked in a fresh
+    # process, since this one may hold them.
     code = f"""
 import sys
 import hodge3d as h
@@ -61,6 +62,12 @@ h.write_vtk(shared, torus, {{"v": h.sample_analytic(torus, "X4").vectors}})
 assert cli.main(["decompose", "--mesh", shared, "--field", "file:" + shared,
                  "--scheme", "fd"]) == 0
 loaded = [m for m in ("scipy.sparse.csgraph", "scipy.linalg", "scipy.spatial")
+          if m in sys.modules]
+assert loaded == [], loaded
+# every sweep level runs in this process
+assert cli.main(["sweep", "--domain", "solid_torus", "--h", "0.3,0.25",
+                 "--field", "X4", "--scheme", "fd"]) == 0
+loaded = [m for m in ("multiprocessing", "concurrent.futures.process")
           if m in sys.modules]
 assert loaded == [], loaded
 """

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -212,8 +211,6 @@ def test_sweep_rho_levels(tmp_path):
 
 
 def test_rho_sweep_runs_on_one_mesh_and_one_engine(tmp_path, monkeypatch):
-    # even with two workers allowed: the counts see only this process
-    monkeypatch.setenv("HODGE3D_THREADS", "2")
     meshes = _counted(monkeypatch, cli, "generate_voxel_domain")
     engines = _counted(monkeypatch, cli, "HodgeDecomposer")
     out = tmp_path / "r"
@@ -233,43 +230,16 @@ def test_rho_sweep_runs_on_one_mesh_and_one_engine(tmp_path, monkeypatch):
 
 def test_h_sweep_parses_its_field_file_once(tmp_path, ball_tiny,
                                             monkeypatch):
+    import scipy.spatial
     src = tmp_path / "src.vtk"
     h.write_vtk(src, ball_tiny, {"v": h.sample_analytic(ball_tiny,
                                                         "X2").vectors})
     parses = _counted(monkeypatch, h_io, "_parse")
+    # and moves it to every level's mesh with one tree over its own mesh
+    trees = _counted(monkeypatch, scipy.spatial, "cKDTree")
     assert main(["sweep", "--domain", "ball", "--h", "0.5,0.45,0.4",
                  "--field", f"file:{src}", "--scheme", "fd"]) == 0
-    assert len(parses) == 1
-
-
-def test_sweep_worker_count_invariance(tmp_path):
-    base = ["sweep", "--domain", "cylinder", "--h", "0.4,0.3",
-            "--field", "X012", "--scheme", "fd"]
-    out1 = tmp_path / "w1"
-    out2 = tmp_path / "w2"
-    old = os.environ.get("HODGE3D_THREADS")
-    try:
-        os.environ["HODGE3D_THREADS"] = "1"
-        assert main(base + ["--out", str(out1)]) == 0
-        os.environ["HODGE3D_THREADS"] = "2"
-        assert main(base + ["--out", str(out2)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("HODGE3D_THREADS", None)
-        else:
-            os.environ["HODGE3D_THREADS"] = old
-    assert (out1 / "summary.csv").read_bytes() == \
-        (out2 / "summary.csv").read_bytes()
-    assert (out1 / "h_0.3" / "report.json").read_bytes() == \
-        (out2 / "h_0.3" / "report.json").read_bytes()
-
-
-def test_sweep_bad_thread_count(monkeypatch, capsys):
-    monkeypatch.setenv("HODGE3D_THREADS", "abc")
-    assert main(["sweep", "--domain", "ball", "--h", "0.5,0.4",
-                 "--field", "X0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "HODGE3D_THREADS" in err
+    assert len(parses) == 1 and len(trees) == 1
 
 
 def test_sweep_level_that_is_not_a_number(capsys):
@@ -297,8 +267,7 @@ def test_sweep_bad_voxel_size_stops_before_any_level(tmp_path, capsys):
     ids=["rho", "h"])
 def test_sweep_levels_sharing_a_label_stop_before_any_level(
         tmp_path, capsys, levels, message):
-    # both levels would write to one directory, and under HODGE3D_THREADS
-    # > 1 at the same time
+    # both levels would write to one directory
     out = tmp_path / "s"
     assert main(["sweep", "--domain", "ball", *levels, "--field", "X0",
                  "--out", str(out)]) == 1

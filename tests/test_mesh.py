@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,3 +397,31 @@ def test_boundary_keys_past_int32(monkeypatch):
     assert np.array_equal(mesh.boundary_edge,
                           np.isin(wide.edges[:, 0] * n_v + wide.edges[:, 1], keys))
     assert np.array_equal(mesh.boundary_vertex, np.isin(np.arange(n_v), bf))
+
+
+def test_face_keys_past_2_to_the_21_vertices():
+    """A face key (i * n_v + j) * n_v + k passes 2**63 once n_v > 2**21. The
+    faces of 524,290 disjoint tets (2,097,160 vertices) must still be their
+    own vertex triples."""
+    n_t = 2**19 + 2
+    corner = 2.0 * np.stack(np.unravel_index(np.arange(n_t), (81, 81, 81)),
+                            axis=1)
+    vertices = (corner[:, None] + np.vstack([np.zeros(3), np.eye(3)]))
+    mesh = h.build_complex(vertices.reshape(-1, 3),
+                           np.arange(4 * n_t).reshape(n_t, 4))
+    assert mesh.n_v > 2**21 and mesh.n_f == 4 * n_t
+    assert np.array_equal(mesh.faces[mesh.tet_faces],
+                          np.sort(mesh.tets[:, h.mesh._LOCAL_FACES], axis=-1))
+
+
+def test_barycenters_without_the_corner_gather(ball_coarse):
+    tracemalloc.start()
+    try:
+        got = ball_coarse.barycenters()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, ball_coarse.vertices[ball_coarse.tets].mean(axis=1))
+    # the result and one vertex gather are 48 B/tet; the (n_t, 4, 3) gather
+    # of vertices[tets] alone is 96
+    assert peak < 72 * ball_coarse.n_t
