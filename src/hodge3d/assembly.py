@@ -74,10 +74,9 @@ def assemble_gram(mesh: TetMesh, tables: ElementTables,
     acc = reduce(operator.add, (
         _chunk_gram(table[sl], mesh.volumes[sl], dofmap.tet_to_dof[sl],
                     dofmap.n_dofs) for sl in chunks))
-    # a sum drops the zeros it makes; the first chunk's are dropped here
+    # a sum drops the zeros it makes; the first chunk's are dropped here.
+    # tocsr() chunks and their sums are canonical: sorted, no duplicates
     acc.eliminate_zeros()
-    acc.sum_duplicates()
-    acc.sort_indices()
     # scipy keeps a pruned array as a view of its unpruned buffer while the
     # view is at least half of it, so the face Gram's 16 entries per tet,
     # summed to 10-11, would keep the rest alive with the engine

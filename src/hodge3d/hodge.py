@@ -308,7 +308,7 @@ class HodgeDecomposer:
         one per connected solid (lifting all of a solid's surfaces gives a
         constant, whose gradient vanishes)."""
         mesh = self.mesh
-        bfaces, label, _, n_surf = mesh._boundary_surfaces
+        bfaces, label, n_surf = mesh._boundary_surfaces
         face_solid = self._system("grad", False).kernel
         surface_solid = np.empty(n_surf, dtype=face_solid.dtype)
         surface_solid[label] = face_solid[bfaces]
@@ -609,19 +609,22 @@ def estimate_harmonic_dimension(mesh: TetMesh, which: str,
 
 def _harmonic_dimension(engine, chain: tuple, probes: int, seed: int) -> int:
     """`estimate_harmonic_dimension` of a `chain` on an engine."""
-    kept = []
+    mesh = engine.mesh
+    # row k holds the k-th kept component weighted by sqrt(volume), so the
+    # probes' L2 Gram is one product of the kept rows
+    rows = np.empty((probes, mesh.n_t, 3))
+    weight = np.sqrt(mesh.volumes)[:, None]
+    k = 0
     for i in range(probes):
-        comp = random_field(engine.mesh, seed=[seed, i], normalize=True)
+        comp = random_field(mesh, seed=[seed, i], normalize=True)
         for space, constrained, keep in chain:
             P = engine._project(comp, space, constrained)
             comp = P if keep == "projection" else combine(comp, P, 1.0, -1.0)
         if sq_norm(comp) >= ZERO_THRESHOLD:
-            kept.append(comp)
-    if not kept:
+            np.multiply(comp.vectors, weight, out=rows[k])
+            k += 1
+    if not k:
         return 0
-    gram = np.empty((len(kept), len(kept)))
-    for i in range(len(kept)):
-        for j in range(i, len(kept)):
-            gram[i, j] = gram[j, i] = l2_inner(kept[i], kept[j])
-    w = np.linalg.eigvalsh(gram)
+    kept = rows[:k].reshape(k, -1)
+    w = np.linalg.eigvalsh(kept @ kept.T)
     return int((w > 1e-8 * w[-1]).sum())

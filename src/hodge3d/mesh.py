@@ -154,10 +154,9 @@ class TetMesh:
 
         Returns
         -------
-        (bface_ids, face_label, edge_label, n_surf)
+        (bface_ids, face_label, n_surf)
             The boundary face indices, the surface label of each of them,
-            the surface label of each boundary edge, and the number of
-            surfaces.
+            and the number of surfaces.
 
         Raises
         ------
@@ -165,32 +164,25 @@ class TetMesh:
             If there is no boundary, or a boundary edge does not have
             exactly two boundary faces.
         """
-        n_v = self.n_v
         bface_ids = np.flatnonzero(self.boundary_face)
         n_bf = len(bface_ids)
         if n_bf == 0:
             raise NonManifoldError("complex has no boundary (not a solid in 3-space)")
-        bf = self.faces[bface_ids].astype(np.int64)   # an int32 key wraps
-        ekeys = np.concatenate([bf[:, 0] * n_v + bf[:, 1],
-                                bf[:, 0] * n_v + bf[:, 2],
-                                bf[:, 1] * n_v + bf[:, 2]])
-        owner = np.tile(np.arange(n_bf), 3)
-        order = np.argsort(ekeys, kind="stable")
-        ekeys_s = ekeys[order]
-        owner_s = owner[order]
-        starts = np.flatnonzero(np.r_[True, ekeys_s[1:] != ekeys_s[:-1]])
-        group_sizes = np.diff(np.r_[starts, len(ekeys_s)])
+        edges = _boundary_face_edges(self.tet_faces, self.tet_edges,
+                                     self.boundary_face).ravel()
+        # entry i of `edges` is an edge of boundary face i // 3
+        order = np.argsort(edges, kind="stable")
+        edges = edges[order]
+        starts = np.flatnonzero(np.r_[True, edges[1:] != edges[:-1]])
+        group_sizes = np.diff(np.r_[starts, len(edges)])
         if (group_sizes != 2).any():
             raise NonManifoldError("boundary edge without exactly two boundary "
                                    "faces (pinched boundary)")
-        fa = owner_s[starts]
-        fb = owner_s[starts + 1]
-        n_surf, face_label, _ = _spanning_forest(n_bf, fa, fb)
-        # boundary edges inherit the (shared) label of their two faces
-        out = bface_ids, face_label, face_label[fa]
-        for a in out:
+        n_surf, face_label, _ = _spanning_forest(n_bf, order[starts] // 3,
+                                                 order[starts + 1] // 3)
+        for a in (bface_ids, face_label):
             a.setflags(write=False)
-        return *out, n_surf
+        return bface_ids, face_label, n_surf
 
     def total_volume(self) -> float:
         return float(self.volumes.sum())
@@ -306,14 +298,10 @@ def build_complex(vertices, tets) -> TetMesh:
                                f"{int(incidence[f])} tets")
     boundary_face = incidence == 1
 
-    bf = faces[boundary_face]
     boundary_vertex = np.zeros(n_v, dtype=bool)
-    boundary_vertex[bf] = True
-    be_keys = np.unique(np.concatenate([bf[:, 0] * n_v + bf[:, 1],
-                                        bf[:, 0] * n_v + bf[:, 2],
-                                        bf[:, 1] * n_v + bf[:, 2]]))
+    boundary_vertex[faces[boundary_face]] = True
     boundary_edge = np.zeros(len(edge_keys), dtype=bool)
-    boundary_edge[np.searchsorted(edge_keys, be_keys)] = True
+    boundary_edge[_boundary_face_edges(tet_faces, tet_edges, boundary_face)] = True
     edges = np.stack([edge_keys // n_v, edge_keys % n_v], axis=1)
 
     return TetMesh(vertices, tets.astype(np.int32), edges.astype(np.int32),
@@ -333,6 +321,14 @@ def _enumerate(keys, what: str):
     distinct, number = np.unique(keys, return_inverse=True)
     _check_count(len(distinct), what)
     return distinct, number.reshape(keys.shape).astype(np.int32)
+
+
+def _boundary_face_edges(tet_faces, tet_edges, boundary_face):
+    """(n_bf, 3): each boundary face's edge numbers, read from its one tet."""
+    flat = tet_faces.ravel()
+    slot = np.flatnonzero(boundary_face[flat])
+    slot = slot[np.argsort(flat[slot])]             # in face order
+    return tet_edges[slot[:, None] // 4, _FACE_EDGES[slot % 4]]
 
 
 def _interior_face_tets(mesh: TetMesh):
@@ -425,10 +421,11 @@ def betti_numbers(mesh: TetMesh) -> BettiNumbers:
     """
     n_v = mesh.n_v
     b0 = mesh._tet_forest[0]
-    bface_ids, face_label, edge_label, n_surf = mesh._boundary_surfaces
+    bface_ids, face_label, n_surf = mesh._boundary_surfaces
 
     f_per = np.bincount(face_label, minlength=n_surf)
-    e_per = np.bincount(edge_label, minlength=n_surf)
+    # each boundary edge joins exactly two faces, of one surface
+    e_per = 3 * f_per // 2
     # Vertices counted once per (surface component, vertex) pair.
     pair = face_label[:, None] * np.int64(n_v) + mesh.faces[bface_ids]
     upair = np.unique(pair)

@@ -140,11 +140,52 @@ def disjoint_union(*meshes):
     return build_complex(np.vstack(verts), np.vstack(tets))
 
 
-def renumbered(mesh, seed=0):
-    """`mesh` with its vertices and its tets in a random order."""
+def renumbered(mesh, seed=0, corners=False):
+    """`mesh` with its vertices and its tets in a random order and, with
+    `corners`, each tet's vertices in a random order too."""
     from hodge3d import build_complex
 
     rng = np.random.default_rng(seed)
     pv = rng.permutation(mesh.n_v)
     perm = rng.permutation(mesh.n_t)
-    return build_complex(mesh.vertices[pv], np.argsort(pv)[mesh.tets[perm]])
+    tets = np.argsort(pv)[mesh.tets[perm]]
+    if corners:
+        tets = rng.permuted(tets, axis=1)
+    return build_complex(mesh.vertices[pv], tets)
+
+
+def boundary_by_vertex_keys(mesh):
+    """The boundary topology from int64 vertex-pair keys, without the edge
+    numbering: each boundary face's three vertex pairs are looked up among
+    the mesh's edges, and two boundary faces join when they share a pair.
+
+    Returns (boundary_edge, bface_ids, face_label, n_surf, edges_per_surf):
+    the boundary edge mask, the boundary faces, the surface of each of them
+    (numbered by their lowest face), the number of surfaces and the number
+    of boundary edges on each surface. Every boundary pair must have
+    exactly two boundary faces.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n_v = np.int64(mesh.n_v)
+    incidence = np.bincount(mesh.tet_faces.ravel(), minlength=mesh.n_f)
+    bface_ids = np.flatnonzero(incidence == 1)
+    bf = mesh.faces[bface_ids].astype(np.int64)
+    keys = np.concatenate([bf[:, 0] * n_v + bf[:, 1], bf[:, 0] * n_v + bf[:, 2],
+                           bf[:, 1] * n_v + bf[:, 2]])
+    edge_keys = mesh.edges[:, 0].astype(np.int64) * n_v + mesh.edges[:, 1]
+    boundary_edge = np.isin(edge_keys, keys)
+
+    owner = np.tile(np.arange(len(bface_ids)), 3)
+    order = np.argsort(keys, kind="stable")
+    pairs, first, sizes = np.unique(keys[order], return_index=True,
+                                    return_counts=True)
+    assert (sizes == 2).all(), "a boundary pair without exactly two faces"
+    assert np.array_equal(pairs, edge_keys[boundary_edge])
+    fa, fb = owner[order[first]], owner[order[first + 1]]
+    n = len(bface_ids)
+    graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(n, n))
+    n_surf, face_label = connected_components(graph, directed=False)
+    edges_per_surf = np.bincount(face_label[fa], minlength=n_surf)
+    return boundary_edge, bface_ids, face_label, n_surf, edges_per_surf

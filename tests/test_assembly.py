@@ -79,6 +79,23 @@ def test_gram_storage_and_index_dtypes(engine, request):
                 assert (a if a.base is None else a.base).size == A.nnz
 
 
+@pytest.mark.parametrize("chunk", [7, 100, 1000])
+def test_chunked_gram_is_canonical(torus_coarse, monkeypatch, chunk):
+    tables, dof_edge, dof_face = h.build_element_tables(torus_coarse)
+    for dofmap in (dof_edge, dof_face):
+        whole = h.assemble_gram(torus_coarse, tables, dofmap).csr
+        monkeypatch.setattr(h.assembly, "_CHUNK", chunk)
+        A = h.assemble_gram(torus_coarse, tables, dofmap).csr
+        monkeypatch.undo()
+        # every row's columns strictly ascend: sorted, with no duplicates
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        assert (np.diff(rows * A.shape[1] + A.indices) > 0).all()
+        assert A.has_canonical_format
+        diff = (A - whole).tocoo()
+        assert diff.nnz == 0 or \
+            np.abs(diff.data).max() <= 1e-14 * np.abs(whole.data).max()
+
+
 def test_engine_assembles_each_space_once(ball_tiny, monkeypatch):
     calls = []
     assemble = h.hodge.assemble_gram

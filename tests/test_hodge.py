@@ -435,6 +435,16 @@ def test_estimate_dimensions_coarse(ball_tiny, torus_coarse, cavity_coarse):
     assert h.estimate_harmonic_dimension(cavity_coarse, "dirichlet") == 0
 
 
+def test_dimension_gram_is_one_product(torus_coarse, monkeypatch):
+    # the probes' Gram comes from one matrix product, not from pairwise
+    # inner products
+    def refuse(X, Y):
+        raise AssertionError("the dimension oracle paired two probes")
+
+    monkeypatch.setattr(hodge_module, "l2_inner", refuse)
+    assert h.estimate_harmonic_dimension(torus_coarse, "dirichlet") == 1
+
+
 def test_estimate_dimension_probe_validation(ball_tiny):
     with pytest.raises(ValueError):
         h.estimate_harmonic_dimension(ball_tiny, "neumann", probes=3)

@@ -8,7 +8,7 @@ import hodge3d as h
 from hodge3d.errors import MeshError, NonManifoldError, TopologyError
 
 from conftest import REF_VERTS
-from oracles import betti_gf2
+from oracles import betti_gf2, boundary_by_vertex_keys, renumbered
 
 
 def test_reference_tet_counts(ref_tet):
@@ -198,8 +198,36 @@ def test_edge_pinch_detected():
     tets = [(0, 1, 2, 3), (0, 1, 4, 5)]
     mesh = h.build_complex(verts, tets)
     for _ in range(2):      # a cached topology must not hide the fault
-        with pytest.raises(NonManifoldError):
+        # found by the surfaces: the Euler count takes each boundary edge
+        # to join exactly two faces
+        with pytest.raises(NonManifoldError, match="pinched boundary"):
             h.betti_numbers(mesh)
+
+
+@pytest.mark.parametrize("domain,hh", [
+    ("ball", 0.12),
+    ("solid_torus", 0.15),
+    ("ball_with_cavity", 0.2),
+])
+def test_boundary_topology_matches_vertex_keys(domain, hh):
+    # the boundary edges and surfaces read from the edge numbering equal
+    # those found again from vertex pairs, on the generated mesh and on a
+    # copy with its vertices, its tets and each tet's corners reordered
+    generated = h.generate_voxel_domain(domain, hh)
+    shuffled = renumbered(generated, seed=3, corners=True)
+    assert not np.array_equal(np.sort(shuffled.tets, axis=1),
+                              np.sort(generated.tets, axis=1))
+    for mesh in (generated, shuffled):
+        boundary_edge, bface_ids, face_label, n_surf, e_per = \
+            boundary_by_vertex_keys(mesh)
+        assert np.array_equal(mesh.boundary_edge, boundary_edge)
+        got_ids, got_label, got_n = mesh._boundary_surfaces
+        assert got_n == n_surf
+        assert np.array_equal(got_ids, bface_ids)
+        assert np.array_equal(got_label, face_label)
+        # betti_numbers counts a surface's edges as 3F/2
+        assert np.array_equal(e_per, 3 * np.bincount(face_label) // 2)
+        assert tuple(h.betti_numbers(mesh)) == h.DOMAIN_TOPOLOGY[domain]
 
 
 def test_ball_volume_riemann_oracle():
@@ -360,10 +388,12 @@ def test_counts_beyond_int32_rejected(ball_tiny, monkeypatch, what):
 
 
 def test_boundary_keys_past_int32(monkeypatch):
-    """Boundary edge keys i * n_v + j pass 2**31 once n_v > 46341; an int32
-    key wraps, and past n_v = 65536 two edges can share a wrapped key. The
-    vertices of a rod with 65,715 of them are renumbered so that the
-    boundary edges (0, t) and (d, r + t) do, with d * n_v + r = 2**32."""
+    """The boundary topology of a rod with 65,715 vertices, renumbered so
+    that the vertex-pair keys i * n_v + j of its boundary edges (0, t) and
+    (d, r + t), with d * n_v + r = 2**32, agree modulo 2**32, must equal
+    that of the same mesh with int64 indices. The boundary is read from
+    the edge numbering, which builds no such key; the test keeps the
+    renumbering as a check against the int64 mesh."""
     rod = h.generate_voxel_domain("box", 1.0, fit="voxel", extents=(4380, 2, 4))
     n_v = rod.n_v
     d, r = divmod(2**32, n_v)
