@@ -10,6 +10,8 @@ on a ball-like domain.
 
 The estimator decomposes a batch of random fields, collects the
 requested component, and takes the numerical rank of their Gram matrix.
+It runs on a decomposition engine, so the subspaces of one mesh share
+its element tables and Gram matrices.
 """
 
 import hodge3d as h
@@ -21,14 +23,15 @@ for domain, hh, params in [
 ]:
     mesh = h.generate_voxel_domain(domain, hh, **params)
     betti = h.betti_numbers(mesh)
-    dn = h.estimate_harmonic_dimension(mesh, "neumann")
-    dd = h.estimate_harmonic_dimension(mesh, "dirichlet")
+    engine = h.HodgeDecomposer(mesh)
+    dn = engine.harmonic_dimension("neumann")
+    dd = engine.harmonic_dimension("dirichlet")
     print(f"{domain:>18}: betti {tuple(betti)}  ->  "
           f"neumann {dn} (expect {betti.h2}), "
           f"dirichlet {dd} (expect {betti.h2_rel})")
 
 # The central space on a small ball: n_bf - 1 regardless of topology.
 mesh = h.generate_voxel_domain("ball", 0.5)
-dim = h.estimate_harmonic_dimension(mesh, "central")
+dim = h.HodgeDecomposer(mesh).harmonic_dimension("central")
 print(f"\ncentral dimension on a {mesh.n_t}-tet ball: {dim} "
       f"(boundary faces - 1 = {mesh.counts.n_bf - 1})")

@@ -145,8 +145,8 @@ def add_noise(X: Pcvf, rho: float, seed: int) -> Pcvf:
     a deterministic function of (seed, tet index). rho = 0 returns the
     input bit-exactly.
     """
-    if rho < 0:
-        raise FieldError("noise factor rho must be >= 0")
+    if not 0 <= rho < np.inf:
+        raise FieldError("noise factor rho must be finite and >= 0")
     if rho == 0:
         return Pcvf(X.mesh, X.vectors.copy())
     rng = np.random.default_rng(seed)

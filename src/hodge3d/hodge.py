@@ -281,13 +281,16 @@ class HodgeDecomposer:
         """L2-orthogonal projection; appends (stage, report) to `reports`."""
         if X.mesh is not self.mesh:
             raise FieldError("field does not live on this decomposer's mesh")
+        X_sq = sq_norm(X)
+        if not np.isfinite(X_sq):
+            raise FieldError(f"field is not finite: squared L2 norm {X_sq}")
         system = self._system(space, constrained)
         stage, dofmap, free = prefix + system.stage, system.dofmap, system.free
         b = assemble_rhs(X, self.tables, dofmap)
         # Cauchy-Schwarz bounds every |b_j| by |X| * sqrt(A_jj); an rhs below
         # rounding level of that scale means the projection is zero, and
         # then the Gram is neither assembled nor solved with.
-        atol = 1e-13 * np.sqrt(sq_norm(X) * system.peak)
+        atol = 1e-13 * np.sqrt(X_sq * system.peak)
         coeff = np.zeros(dofmap.n_dofs)
         if np.linalg.norm(b[free]) <= atol:
             report = SolveReport(iterations=0, relative_residual=0.0,
@@ -565,6 +568,55 @@ class HodgeDecomposer:
                 add(f"{name}_vs_{stage}", value, mem_bound)
         return VerificationReport(checks=checks)
 
+    def harmonic_dimension(self, which: str, probes: int | None = None,
+                           seed: int = 2024) -> int:
+        """Numerical dimension of a harmonic (or central) subspace.
+
+        Takes the requested component of `probes` seeded unit-norm random
+        fields and returns the numerical rank of their Gram matrix at
+        relative eigenvalue threshold 1e-8. Components that are
+        zero-classified (squared norm below 1e-10) are discarded first.
+        Every projection on the way to a component is solved directly,
+        curl ones included; the harmonic bases that `decompose` uses are
+        never built here, so the result is an independent check of their
+        dimensions.
+
+        The number of probes must be an integer that exceeds the
+        topologically expected dimension by at least 5 (the default).
+        """
+        if which not in _DIMENSION_SOURCES:
+            raise ValueError(f"unknown subspace '{which}' (choose from "
+                             f"{sorted(_DIMENSION_SOURCES)})")
+        mesh = self.mesh
+        expected = _expected_dimension(mesh, which)
+        min_probes = expected + _SPARE_PROBES
+        if probes is None:
+            probes = min_probes
+        if not isinstance(probes, (int, np.integer)):
+            raise ValueError(f"probe count {probes!r} is not an integer")
+        if probes < min_probes:
+            raise ValueError(f"probe count {probes} below required minimum "
+                             f"{min_probes} (expected dimension {expected} "
+                             f"+ {_SPARE_PROBES})")
+        # row k holds the k-th kept component weighted by sqrt(volume), so
+        # the probes' L2 Gram is one product of the kept rows
+        rows = np.empty((probes, mesh.n_t, 3))
+        weight = np.sqrt(mesh.volumes)[:, None]
+        k = 0
+        for i in range(probes):
+            Y = random_field(mesh, seed=[seed, i], normalize=True)
+            for space, constrained, keep in _DIMENSION_SOURCES[which]:
+                P = self._project(Y, space, constrained)
+                Y = P if keep == "projection" else combine(Y, P, 1.0, -1.0)
+            if sq_norm(Y) >= ZERO_THRESHOLD:
+                np.multiply(Y.vectors, weight, out=rows[k])
+                k += 1
+        if not k:
+            return 0
+        kept = rows[:k].reshape(k, -1)
+        w = np.linalg.eigvalsh(kept @ kept.T)
+        return int((w > 1e-8 * w[-1]).sum())
+
 
 def _expected_dimension(mesh: TetMesh, which: str) -> int:
     """The dimension the topology of `mesh` predicts for a subspace."""
@@ -574,57 +626,7 @@ def _expected_dimension(mesh: TetMesh, which: str) -> int:
 
 
 def estimate_harmonic_dimension(mesh: TetMesh, which: str,
-                                probes: int | None = None, seed: int = 2024,
-                                tol: float = 1e-12,
-                                max_iter: int | None = None) -> int:
-    """Numerical dimension of a harmonic (or central) subspace.
-
-    Takes the requested component of `probes` seeded unit-norm random
-    fields and returns the numerical rank of their Gram matrix at relative
-    eigenvalue threshold 1e-8. Components that are zero-classified
-    (squared norm below 1e-10) are discarded first. Every projection on
-    the way to a component is solved directly, curl ones included; the
-    harmonic bases that `decompose` uses are never built here, so the
-    result is an independent check of their dimensions.
-
-    The number of probes must exceed the topologically expected dimension
-    by at least 5 (the default).
-    """
-    try:
-        chain = _DIMENSION_SOURCES[which]
-    except KeyError:
-        raise ValueError(f"unknown subspace '{which}' "
-                         f"(choose from {sorted(_DIMENSION_SOURCES)})") from None
-    expected = _expected_dimension(mesh, which)
-    min_probes = expected + _SPARE_PROBES
-    if probes is None:
-        probes = min_probes
-    if probes < min_probes:
-        raise ValueError(f"probe count {probes} below required minimum "
-                         f"{min_probes} (expected dimension {expected} "
-                         f"+ {_SPARE_PROBES})")
-    engine = HodgeDecomposer(mesh, tol=tol, max_iter=max_iter)
-    return _harmonic_dimension(engine, chain, probes, seed)
-
-
-def _harmonic_dimension(engine, chain: tuple, probes: int, seed: int) -> int:
-    """`estimate_harmonic_dimension` of a `chain` on an engine."""
-    mesh = engine.mesh
-    # row k holds the k-th kept component weighted by sqrt(volume), so the
-    # probes' L2 Gram is one product of the kept rows
-    rows = np.empty((probes, mesh.n_t, 3))
-    weight = np.sqrt(mesh.volumes)[:, None]
-    k = 0
-    for i in range(probes):
-        comp = random_field(mesh, seed=[seed, i], normalize=True)
-        for space, constrained, keep in chain:
-            P = engine._project(comp, space, constrained)
-            comp = P if keep == "projection" else combine(comp, P, 1.0, -1.0)
-        if sq_norm(comp) >= ZERO_THRESHOLD:
-            np.multiply(comp.vectors, weight, out=rows[k])
-            k += 1
-    if not k:
-        return 0
-    kept = rows[:k].reshape(k, -1)
-    w = np.linalg.eigvalsh(kept @ kept.T)
-    return int((w > 1e-8 * w[-1]).sum())
+                                probes: int | None = None,
+                                seed: int = 2024) -> int:
+    """`HodgeDecomposer.harmonic_dimension` on a fresh engine for `mesh`."""
+    return HodgeDecomposer(mesh).harmonic_dimension(which, probes, seed)

@@ -87,7 +87,7 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
     (x, SolveReport)
         Non-convergence is reported, not raised; the caller decides.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     atol = float(atol)
     b = np.asarray(b, dtype=np.float64)

@@ -112,8 +112,9 @@ def test_noise_deterministic(torus_coarse):
 
 def test_noise_negative_rho(torus_coarse):
     X = h.sample_analytic(torus_coarse, "X4")
-    with pytest.raises(FieldError):
-        h.add_noise(X, -0.1, seed=0)
+    for rho in (-0.1, np.nan, np.inf):
+        with pytest.raises(FieldError):
+            h.add_noise(X, rho, seed=0)
 
 
 def test_noise_monte_carlo_energy_ratio():

@@ -2,6 +2,7 @@ import gc
 import warnings
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -67,6 +68,19 @@ def test_mesh_identity_enforced(torus_engine, ball_coarse):
     X = h.random_field(ball_coarse, seed=1)
     with pytest.raises(FieldError):
         torus_engine.decompose(X, "FD")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_field_is_refused_before_any_solve(monkeypatch, ball_tiny,
+                                                      bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite field reached the solver")
+
+    monkeypatch.setattr(hodge_module, "solve_spsd", refuse)
+    vectors = h.random_field(ball_tiny, seed=1).vectors.copy()
+    vectors[3, 1] = bad
+    with pytest.raises(FieldError, match="not finite"):
+        h.HodgeDecomposer(ball_tiny).decompose(h.Pcvf(ball_tiny, vectors), "FD")
 
 
 def test_zero_field_all_zero_flags(torus_engine):
@@ -446,10 +460,13 @@ def test_dimension_gram_is_one_product(torus_coarse, monkeypatch):
 
 
 def test_estimate_dimension_probe_validation(ball_tiny):
-    with pytest.raises(ValueError):
-        h.estimate_harmonic_dimension(ball_tiny, "neumann", probes=3)
-    with pytest.raises(ValueError):
-        h.estimate_harmonic_dimension(ball_tiny, "sideways")
+    engine = h.HodgeDecomposer(ball_tiny)
+    for oracle in (partial(h.estimate_harmonic_dimension, ball_tiny),
+                   engine.harmonic_dimension):
+        for which, probes in (("neumann", 3), ("neumann", 5.5),
+                              ("sideways", None)):
+            with pytest.raises(ValueError):
+                oracle(which, probes)
 
 
 def test_one_shot_module_functions(ball_tiny):
@@ -628,11 +645,19 @@ def test_dimension_oracle_does_not_use_harmonic_bases(monkeypatch,
     def refuse(self, *args):
         raise AssertionError("the dimension oracle built a harmonic basis")
 
+    meshes = ((cavity_coarse, (1, 0)), (torus_coarse, (0, 1)))
+    # warm engines: each has decomposed a field, so its bases are built
+    engines = []
+    for mesh, _ in meshes:
+        engine = h.HodgeDecomposer(mesh)
+        engine.decompose(h.random_field(mesh, seed=5), "FULL")
+        engines.append(engine)
     monkeypatch.setattr(h.HodgeDecomposer, "_harmonic_basis", refuse)
-    for mesh, want in ((cavity_coarse, (1, 0)), (torus_coarse, (0, 1))):
-        got = tuple(h.estimate_harmonic_dimension(mesh, which)
-                    for which in ("neumann", "dirichlet"))
-        assert got == want
+    for (mesh, want), engine in zip(meshes, engines):
+        for oracle in (partial(h.estimate_harmonic_dimension, mesh),
+                       engine.harmonic_dimension):
+            got = tuple(oracle(which) for which in ("neumann", "dirichlet"))
+            assert got == want
     # the command line runs the same chains on one engine
     for argv in (["ball_with_cavity", "--h", "0.25", "--cavity-radius", "0.5"],
                  ["solid_torus", "--h", "0.2"]):

@@ -126,8 +126,9 @@ def test_bad_inputs():
     A = _identity(4)
     with pytest.raises(ValueError):
         h.solve_spsd(A, np.zeros(3))
-    with pytest.raises(ValueError):
-        h.solve_spsd(A, np.zeros(4), tol=0.0)
+    for tol in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            h.solve_spsd(A, np.zeros(4), tol=tol)
 
 
 @pytest.mark.parametrize("case", ["ball", "voxel_ball", "torus",
