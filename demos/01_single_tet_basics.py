@@ -7,8 +7,6 @@ on one reference tet: the complex, the hat-function gradients, and the
 two derivative tables (face-based gradients and edge-based curls).
 """
 
-import numpy as np
-
 import hodge3d as h
 
 # The reference tet spans the unit corner simplex.
@@ -37,6 +35,6 @@ print(tables.ned_curls[0])
 # Both Gram matrices are exact integrals: constant dot products times
 # the volume. The face system has the constants in its kernel, so its
 # rows sum to zero.
-A = h.assemble_gram(mesh, tables, dof_face)
-print("\nface-gradient Gram matrix:\n", A.toarray())
-print("row sums:", np.asarray(A.toarray().sum(axis=1)).ravel())
+A = h.assemble_gram(mesh, tables, dof_face).csr.toarray()
+print("\nface-gradient Gram matrix:\n", A)
+print("row sums:", A.sum(axis=1))

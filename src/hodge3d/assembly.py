@@ -31,21 +31,8 @@ class SparseSymMatrix:
     csr: sp.csr_matrix
 
     @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
-    @property
     def nnz(self) -> int:
         return self.csr.nnz
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.csr @ x
-
-    def toarray(self) -> np.ndarray:
-        return self.csr.toarray()
 
 
 def _table_for(tables: ElementTables, dofmap: DofMap) -> np.ndarray:

@@ -17,6 +17,8 @@ and tunnels.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
@@ -112,30 +114,52 @@ _DIMENSION_SOURCES = {
 _SPARE_PROBES = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecompositionResult:
-    """Named components of one decomposition plus norm diagnostics."""
+    """Named components of one decomposition. Its input and components
+    are read-only; the norm diagnostics derive from them on first read."""
 
     scheme: str
     input: Pcvf
-    components: dict
-    sq_norms: dict
-    input_sq_norm: float
-    zero_flags: dict
+    components: MappingProxyType
     solver_reports: list = field(default_factory=list)
 
+    def __post_init__(self):
+        object.__setattr__(self, "components",
+                           MappingProxyType(dict(self.components)))
+
+    def __reduce__(self):   # a mapping proxy does not pickle; its dict does
+        return DecompositionResult, (self.scheme, self.input,
+                                     dict(self.components), self.solver_reports)
+
+    @cached_property
+    def sq_norms(self) -> MappingProxyType:
+        return MappingProxyType({name: sq_norm(f)
+                                 for name, f in self.components.items()})
+
+    @cached_property
+    def input_sq_norm(self) -> float:
+        return sq_norm(self.input)
+
+    @cached_property
+    def zero_flags(self) -> MappingProxyType:
+        return MappingProxyType({name: v < ZERO_THRESHOLD
+                                 for name, v in self.sq_norms.items()})
+
     def fractions(self) -> dict:
-        if self.input_sq_norm == 0.0:
-            return {k: 0.0 for k in self.components}
-        return {k: v / self.input_sq_norm for k, v in self.sq_norms.items()}
+        n = self.input_sq_norm
+        return {k: v / n if n else 0.0 for k, v in self.sq_norms.items()}
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     value: float
     bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.bound
 
 
 @dataclass
@@ -499,16 +523,7 @@ class HodgeDecomposer:
             parts[remainder] = combine(Y, P, 1.0, -1.0)
 
         comps = {name: parts[name] for name in SCHEME_COMPONENTS[scheme]}
-        norms = {name: sq_norm(f) for name, f in comps.items()}
-        return DecompositionResult(
-            scheme=scheme,
-            input=X,
-            components=comps,
-            sq_norms=norms,
-            input_sq_norm=sq_norm(X),
-            zero_flags={name: v < ZERO_THRESHOLD for name, v in norms.items()},
-            solver_reports=reports,
-        )
+        return DecompositionResult(scheme, X, comps, reports)
 
     def verify(self, result: DecompositionResult) -> VerificationReport:
         """Check the structural guarantees of a decomposition result.
@@ -520,25 +535,23 @@ class HodgeDecomposer:
         component's own squared norm is already within the bound, the
         value is that norm instead and no solve runs: by Bessel's
         inequality no projection of a field is longer than the field.
-        Every norm is taken from the fields, never from the stored
-        `sq_norms`, zero flags or input norm, which a caller may edit.
-        Reporting only; nothing is raised.
+        The norms are the result's own, derived from its fields. A result
+        of another mesh raises FieldError; a failed check is reported, not
+        raised.
         """
+        if result.input.mesh is not self.mesh:
+            raise FieldError("result does not live on this decomposer's mesh")
         checks = []
-        comps = result.components
-        X = result.input
-        sq = {name: sq_norm(f) for name, f in comps.items()}
-        in_sq = sq_norm(X)
-        in_norm = np.sqrt(in_sq)
+        comps, X = result.components, result.input
+        sq, in_sq = result.sq_norms, result.input_sq_norm
 
         def add(name, value, bound):
-            checks.append(CheckResult(name, bool(value <= bound),
-                                      float(value), float(bound)))
+            checks.append(CheckResult(name, float(value), float(bound)))
 
         total = X
         for f in comps.values():
             total = combine(total, f, 1.0, -1.0)
-        rec = np.sqrt(sq_norm(total)) / (in_norm if in_norm > 0 else 1.0)
+        rec = np.sqrt(sq_norm(total)) / (np.sqrt(in_sq) if in_sq > 0 else 1.0)
         add("reconstruction", rec, 1e-10)
 
         pyth_bound = 1e-8 * (in_sq if in_sq > 0 else 1.0)
@@ -548,24 +561,18 @@ class HodgeDecomposer:
         # meaningful direction; they count as zero in the pairwise check
         names = [n for n in comps if sq[n] >= ZERO_THRESHOLD]
         worst = 0.0
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                ni = np.sqrt(sq[names[i]])
-                nj = np.sqrt(sq[names[j]])
-                worst = max(worst, abs(l2_inner(comps[names[i]],
-                                                comps[names[j]])) / (ni * nj))
+        for a, b in combinations(names, 2):
+            worst = max(worst, abs(l2_inner(comps[a], comps[b]))
+                        / (np.sqrt(sq[a]) * np.sqrt(sq[b])))
         add("orthogonality", worst, 1e-8)
 
         mem_bound = ZERO_THRESHOLD * max(1.0, in_sq)
         for name, comp in comps.items():
-            comp_sq = sq[name]
             for space, constrained in _RELATIONS[name]:
-                if comp_sq <= mem_bound:
-                    value = comp_sq
-                else:
-                    value = sq_norm(self._project(comp, space, constrained))
-                stage = self._system(space, constrained).stage
-                add(f"{name}_vs_{stage}", value, mem_bound)
+                value = sq[name] if sq[name] <= mem_bound else \
+                    sq_norm(self._project(comp, space, constrained))
+                add(f"{name}_vs_{self._system(space, constrained).stage}",
+                    value, mem_bound)
         return VerificationReport(checks=checks)
 
     def harmonic_dimension(self, which: str, probes: int | None = None,

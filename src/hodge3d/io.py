@@ -581,9 +581,13 @@ def write_outputs(result: DecompositionResult, out_dir,
                   formats=("vtk", "json"), extra: dict | None = None) -> list:
     """Write one VTK file per component plus the JSON report.
 
-    Returns the list of written paths. Re-running with identical inputs
-    produces byte-identical files.
+    Returns the written paths; identical inputs give byte-identical files.
+    An unknown format raises ValueError before anything is created.
     """
+    for fmt in formats:
+        if fmt not in ("vtk", "json"):
+            raise ValueError(f"unknown output format '{fmt}' "
+                             "(choose from vtk, json)")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "vtk" in formats:

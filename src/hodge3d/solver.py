@@ -62,7 +62,7 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
 
     Parameters
     ----------
-    A : SparseSymMatrix (positive semi-definite)
+    A : SparseSymMatrix (positive semi-definite); only its CSR is read
     b : right-hand side, must be consistent (orthogonal to ker A)
     tol : relative residual target |A x - b| / |b|
     max_iter : defaults to 10 * n
@@ -87,11 +87,12 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
     (x, SolveReport)
         Non-convergence is reported, not raised; the caller decides.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    A = A.csr
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     atol = float(atol)
     b = np.asarray(b, dtype=np.float64)
-    n = A.n
+    n = A.shape[0]
     if b.shape != (n,):
         raise ValueError(f"rhs must have shape ({n},), got {b.shape}")
     if max_iter is None:
@@ -123,7 +124,7 @@ def solve_spsd(A: SparseSymMatrix, b: np.ndarray, tol: float = 1e-12,
     best_res, best_it, best_x = b_norm, 0, None
     it = 0
     while it < max_iter:
-        Ap = A.matvec(p)
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
             break  # numerical loss of positivity; keep best iterate

@@ -307,7 +307,7 @@ def test_criterion_08_oracle_equivalence(two_tet, ref_tet, ball_tiny):
     for mesh in (ref_tet, two_tet):
         tables, dof_edge, dof_face = h.build_element_tables(mesh)
         for dofmap, which in ((dof_edge, "curl"), (dof_face, "grad")):
-            A = h.assemble_gram(mesh, tables, dofmap).toarray()
+            A = h.assemble_gram(mesh, tables, dofmap).csr.toarray()
             D = gram_direct(mesh, which)
             worst = max(worst, np.abs(A - D).max() / np.abs(D).max())
     ok = betti_ok and worst <= 1e-13

@@ -770,3 +770,12 @@ def test_write_outputs_deterministic(ball_tiny, tmp_path):
         h.write_vtk(alone, ball_tiny, {name: comp.vectors},
                     title=f"FD component {name}")
         assert (d1 / f"{name}.vtk").read_bytes() == alone.read_bytes()
+
+
+def test_write_outputs_refuses_unknown_format(ball_tiny, tmp_path):
+    r = h.HodgeDecomposer(ball_tiny).decompose(
+        h.sample_analytic(ball_tiny, "X2"), "FD")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="'xml'.*vtk, json"):
+        h.write_outputs(r, out, formats=("json", "xml"))
+    assert not out.exists()

@@ -92,7 +92,7 @@ def test_returns_best_iterate(ball_coarse):
     xs, rels = [], []
     for k in range(1, 60):
         x, rep = h.solve_spsd(A, b, max_iter=k)
-        true = np.linalg.norm(A.matvec(x) - b) / np.linalg.norm(b)
+        true = np.linalg.norm(A.csr @ x - b) / np.linalg.norm(b)
         assert true == pytest.approx(rep.relative_residual, rel=1e-9)
         xs.append(x)
         rels.append(rep.relative_residual)
@@ -122,13 +122,17 @@ def test_projection_idempotent_through_solver(torus_engine):
     assert diff <= 1e-10 * np.sqrt(h.sq_norm(C1))
 
 
-def test_bad_inputs():
+def test_bad_inputs(ball_tiny):
     A = _identity(4)
     with pytest.raises(ValueError):
         h.solve_spsd(A, np.zeros(3))
-    for tol in (0.0, np.nan):
+    for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             h.solve_spsd(A, np.zeros(4), tol=tol)
+    # an infinite tol would stop every solve after one iteration, converged
+    engine = h.HodgeDecomposer(ball_tiny, tol=np.inf)
+    with pytest.raises(ValueError, match="tol"):
+        engine.decompose(h.sample_analytic(ball_tiny, "X012"), "FD")
 
 
 @pytest.mark.parametrize("case", ["ball", "voxel_ball", "torus",
@@ -154,7 +158,7 @@ def test_face_cycle_is_symmetric_positive_definite(case):
     engine = h.HodgeDecomposer(mesh)
     for constrained in (False, True):
         system = engine._system("grad", constrained)
-        cycle, n = system.M, system.gram.n
+        cycle, n = system.M, system.gram.csr.shape[0]
         M = np.column_stack([cycle(e) for e in np.eye(n)])
         assert np.abs(M - M.T).max() <= 1e-12 * np.abs(M).max()  # seen: 4e-16
         # raises LinAlgError unless positive definite (seen: lambda_min /
