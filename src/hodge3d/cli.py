@@ -27,7 +27,7 @@ from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
 from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
                     SCHEMES, HodgeDecomposer, _expected_dimension)
-from .io import _read_mesh_and_field, make_report, read_mesh, write_outputs
+from .io import make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
 __all__ = ["main"]
@@ -41,11 +41,6 @@ def _build_mesh(ns, h):
     if ns.mesh is not None:
         return read_mesh(ns.mesh)
     return generate_voxel_domain(ns.domain, h, **_domain_params(ns))
-
-
-def _file_field(path, ns):
-    """The field of the file at `path`, on the file's own mesh."""
-    return _read_mesh_and_field(path, resample=ns.resample)[1]
 
 
 def _decompose_levels(ns, levels):
@@ -66,7 +61,7 @@ def _decompose_levels(ns, levels):
     vectors = tree = None
     for h, group in meshes:
         if own:  # --mesh: one mesh for every level
-            X = _file_field(path, ns)
+            X = read_field(path, resample=ns.resample)
             mesh = X.mesh
         else:
             mesh = _build_mesh(ns, h)  # its errors come before the field file's
@@ -75,7 +70,7 @@ def _decompose_levels(ns, levels):
             else:
                 if tree is None:
                     from scipy.spatial import cKDTree
-                    X = _file_field(path, ns)
+                    X = read_field(path, resample=ns.resample)
                     tree, vectors = cKDTree(X.mesh.barycenters()), X.vectors
                 X = Pcvf(mesh, vectors[tree.query(mesh.barycenters())[1]])
                 if group is meshes[-1][1]:  # the source goes before the solves

@@ -28,12 +28,16 @@ class DofMap:
         boundary-constrained subspace keeps exactly the interior dofs.
     tet_to_dof : (n_t, k) int32 global dof index per tet-local edge/face:
         the mesh's own tet_edges or tet_faces
+    n_dofs : the number of dofs, one per entry of interior_mask
     """
 
     kind: str
-    n_dofs: int
     interior_mask: np.ndarray
     tet_to_dof: np.ndarray
+
+    @property
+    def n_dofs(self) -> int:
+        return len(self.interior_mask)
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,9 @@ def build_element_tables(mesh: TetMesh):
                     out=cr_gradients[sl])
     cr_gradients.setflags(write=False)
 
-    dof_edge = DofMap(kind="edge_based",
-                      n_dofs=mesh.n_e,
-                      interior_mask=~mesh.boundary_edge,
+    dof_edge = DofMap(kind="edge_based", interior_mask=~mesh.boundary_edge,
                       tet_to_dof=mesh.tet_edges)
-    dof_face = DofMap(kind="face_based",
-                      n_dofs=mesh.n_f,
-                      interior_mask=~mesh.boundary_face,
+    dof_face = DofMap(kind="face_based", interior_mask=~mesh.boundary_face,
                       tet_to_dof=mesh.tet_faces)
     return ElementTables(mesh=mesh, cr_gradients=cr_gradients), \
         dof_edge, dof_face

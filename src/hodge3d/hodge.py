@@ -536,11 +536,21 @@ class HodgeDecomposer:
         value is that norm instead and no solve runs: by Bessel's
         inequality no projection of a field is longer than the field.
         The norms are the result's own, derived from its fields. A result
-        of another mesh raises FieldError; a failed check is reported, not
+        of another mesh, of an unknown scheme or whose components are not
+        its scheme's raises FieldError; a failed check is reported, not
         raised.
         """
         if result.input.mesh is not self.mesh:
             raise FieldError("result does not live on this decomposer's mesh")
+        names = SCHEME_COMPONENTS.get(result.scheme)
+        if names is None:
+            raise FieldError(f"unknown scheme '{result.scheme}' (choose from "
+                             f"{', '.join(SCHEMES)})")
+        extra = [n for n in result.components if n not in names]
+        missing = [n for n in names if n not in result.components]
+        if extra or missing:
+            raise FieldError(f"the components of a {result.scheme} result "
+                             f"do not match: unknown {extra}, missing {missing}")
         checks = []
         comps, X = result.components, result.input
         sq, in_sq = result.sq_norms, result.input_sq_norm

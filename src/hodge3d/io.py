@@ -417,10 +417,35 @@ def _mesh_of(path: str, points, tets) -> TetMesh:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _field_of(path: str, mesh: TetMesh, parsed: tuple,
-              resample: str | None) -> Pcvf:
-    """The field for `mesh` of a parsed file (`_parse`)."""
-    points, tets, cell_vectors, point_vectors = parsed
+def read_mesh(path) -> TetMesh:
+    """Read a tetrahedral mesh from a VTK legacy or Gmsh 4.1 file.
+
+    The extension picks the format: .vtk (or none) for VTK, .msh for
+    Gmsh. Non-tetrahedral volume cells are rejected; unreferenced points
+    are dropped.
+    """
+    path = os.fspath(path)
+    return _mesh_of(path, *_parse(path)[:2])
+
+
+def read_field(path, mesh: TetMesh | None = None,
+               resample: str | None = None) -> Pcvf:
+    """Read a vector field from a file that read_mesh reads; of the two
+    formats only VTK legacy holds vectors.
+
+    The field lives on `mesh`, or without one on the file's own mesh,
+    `read_mesh(path)`, built from the same parse of the file; that mesh's
+    errors come before the field's. Cell data (one vector per tet) loads
+    directly. Point data is only accepted with resample="barycentric",
+    which averages the four vertex vectors of every tet, of the points
+    read_mesh keeps; the conversion is never applied silently. Of several
+    arrays, the first cell vector array is read, else the first point
+    vector array; the others are ignored.
+    """
+    path = os.fspath(path)
+    points, tets, cell_vectors, point_vectors = _parse(path)
+    if mesh is None:
+        mesh = _mesh_of(path, points, tets)
     if cell_vectors:
         name = next(iter(cell_vectors))
         arr = cell_vectors[name]
@@ -445,42 +470,6 @@ def _field_of(path: str, mesh: TetMesh, parsed: tuple,
         raise FieldError(f"{path}: vector field '{name}' contains NaN or Inf "
                          "entries")
     return Pcvf(mesh, arr)
-
-
-def read_mesh(path) -> TetMesh:
-    """Read a tetrahedral mesh from a VTK legacy or Gmsh 4.1 file.
-
-    The extension picks the format: .vtk (or none) for VTK, .msh for
-    Gmsh. Non-tetrahedral volume cells are rejected; unreferenced points
-    are dropped.
-    """
-    path = os.fspath(path)
-    return _mesh_of(path, *_parse(path)[:2])
-
-
-def read_field(path, mesh: TetMesh, resample: str | None = None) -> Pcvf:
-    """Read a vector field for `mesh` from a file that read_mesh reads; of
-    the two formats only VTK legacy holds vectors.
-
-    Cell data (one vector per tet) loads directly. Point data is only
-    accepted with resample="barycentric", which averages the four vertex
-    vectors of every tet, of the points read_mesh keeps; the conversion
-    is never applied silently. Of several arrays, the first cell vector
-    array is read, else the first point vector array; the others are
-    ignored.
-    """
-    path = os.fspath(path)
-    return _field_of(path, mesh, _parse(path), resample)
-
-
-def _read_mesh_and_field(path, resample: str | None = None):
-    """`mesh = read_mesh(path)` and `read_field(path, mesh, resample)`, with
-    one parse of the file. Errors come in the same order, with the same
-    messages and lines, as from the two calls."""
-    path = os.fspath(path)
-    parsed = _parse(path)
-    mesh = _mesh_of(path, *parsed[:2])
-    return mesh, _field_of(path, mesh, parsed, resample)
 
 
 def _rows(fmt: str, arr: np.ndarray) -> str:
@@ -582,8 +571,11 @@ def write_outputs(result: DecompositionResult, out_dir,
     """Write one VTK file per component plus the JSON report.
 
     Returns the written paths; identical inputs give byte-identical files.
-    An unknown format raises ValueError before anything is created.
+    An unknown format, or none, raises ValueError before anything is
+    created.
     """
+    if not formats:
+        raise ValueError("no output format given (choose from vtk, json)")
     for fmt in formats:
         if fmt not in ("vtk", "json"):
             raise ValueError(f"unknown output format '{fmt}' "

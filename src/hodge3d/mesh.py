@@ -601,27 +601,18 @@ def _voxel_complex(domain, indicator, half_extent, h):
     temporaries are freed on return, before the complex is built."""
     lo = [int(np.floor(-ext / h)) - 1 for ext in half_extent]
     hi = [int(np.ceil(ext / h)) + 1 for ext in half_extent]
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    ci, cj, ck = np.meshgrid(*axes, indexing="ij")
-    cx = (ci + 0.5) * h
-    cy = (cj + 0.5) * h
-    cz = (ck + 0.5) * h
-    mask = indicator(cx, cy, cz)
-    if not mask.any():
+    # the cube centers of each axis, which the indicator broadcasts
+    centers = [(np.arange(a, b + 1) + 0.5) * h for a, b in zip(lo, hi)]
+    kept = np.argwhere(indicator(*np.ix_(*centers))) + lo     # (K, 3), C order
+    if not len(kept):
         raise TopologyError(f"domain '{domain}' contains no voxel centers at h={h}")
 
-    kept = np.stack([ci[mask], cj[mask], ck[mask]], axis=1)      # (K, 3)
-    corners = kept[:, None, :] + _CUBE_OFFSETS[None, :, :]       # (K, 8, 3)
-    base = np.array([a - 1 for a in lo], dtype=np.int64)
-    dims = np.array([b - a + 3 for a, b in zip(lo, hi)], dtype=np.int64)
-    rel = corners - base
-    keys = (rel[..., 0] * dims[1] + rel[..., 1]) * dims[2] + rel[..., 2]
+    corners = kept[:, None, :] + _CUBE_OFFSETS                # (K, 8, 3)
+    base = np.array(lo) - 1
+    dims = [b - a + 3 for a, b in zip(lo, hi)]
+    keys = np.ravel_multi_index(np.moveaxis(corners - base, -1, 0), dims)
     ukeys, corner_ids = _enumerate(keys, "vertices")
-
-    lat = np.stack([ukeys // (dims[1] * dims[2]),
-                    (ukeys // dims[2]) % dims[1],
-                    ukeys % dims[2]], axis=1) + base
-    verts = lat.astype(np.float64) * h
+    verts = (np.stack(np.unravel_index(ukeys, dims), axis=1) + base) * float(h)
     # a lattice vertex is on the boundary iff a cube around it is not kept
     boundary = np.bincount(corner_ids.ravel(), minlength=len(verts)) < 8
     return verts, corner_ids[:, _KUHN_TETS].reshape(-1, 4), boundary

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +387,22 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("args, code, out, err", [
+    (["--version"], 0, "hodge3d 0.1.0\n", ""),
+    (["decompose", "--domain", "ball", "--h", "0.5", "--field", "X9"], 1, "",
+     "error: unknown field 'X9' (analytic fields: ['X0', 'X012', 'X1', 'X2', "
+     "'X3', 'X4'], or file:<path>)\n"),
+], ids=["version", "unknown_field"])
+def test_module_entry_point(args, code, out, err):
+    # `python -m hodge3d.cli` runs `entry`, as the hodge3d console script does
+    src = os.path.dirname(os.path.dirname(h.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hodge3d.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_no_subcommand_prints_help(capsys):

@@ -239,6 +239,18 @@ def test_verify_passes_and_detects_perturbation(torus_engine):
     # a result still pickles, as a plain dataclass of dicts did
     again = pickle.loads(pickle.dumps(edited))
     assert dict(again.sq_norms) == dict(edited.sq_norms)
+    # a component its scheme does not have, or a scheme that does not exist,
+    # is refused before any check runs
+    foreign = replace(r, components={**r.components, "foo": bad["gradient"]})
+    with pytest.raises(FieldError, match=r"FD result.*unknown \['foo'\], "
+                                         r"missing \[\]"):
+        torus_engine.verify(foreign)
+    lacking = replace(r, components={k: v for k, v in bad.items()
+                                     if k != "gradient"})
+    with pytest.raises(FieldError, match=r"unknown \[\], missing \['gradient'\]"):
+        torus_engine.verify(lacking)
+    with pytest.raises(FieldError, match="unknown scheme 'FOO'"):
+        torus_engine.verify(replace(r, scheme="FOO"))
 
 
 def test_verify_membership_checks_present(torus_engine):

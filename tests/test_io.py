@@ -567,8 +567,7 @@ def test_mutated_files_load_or_raise_an_error_naming_them(tmp_path, ext, text):
     base = tmp_path / f"base{ext}"
     base.write_text(text)
     mesh = h.read_mesh(base)
-    readers = (h.read_mesh, lambda p: h.read_field(p, mesh),
-               h_io._read_mesh_and_field)
+    readers = (h.read_mesh, lambda p: h.read_field(p, mesh), h.read_field)
     for i, mutant in enumerate(mutants):
         p = tmp_path / f"m{i}{ext}"
         p.write_text(mutant)
@@ -697,6 +696,30 @@ def _ball_files(tmp_path, mesh):
     return vtk, msh
 
 
+def test_read_field_without_a_mesh_parses_once(tmp_path, monkeypatch,
+                                               ball_coarse):
+    vtk, _ = _ball_files(tmp_path, ball_coarse)
+    parse, calls = h_io._parse, []
+
+    def counted(path):
+        calls.append(path)
+        return parse(path)
+
+    monkeypatch.setattr(h_io, "_parse", counted)
+    X = h.read_field(vtk)
+    assert calls == [str(vtk)]
+    mesh = h.read_mesh(vtk)
+    for name, a in vars(mesh).items():
+        b = getattr(X.mesh, name)
+        assert a.dtype == b.dtype and (a == b).all(), name
+    assert (X.vectors == h.sample_analytic(ball_coarse, "X1").vectors).all()
+    # the file's mesh errors come before its field errors
+    p = tmp_path / "nofield.vtk"
+    p.write_text(GOLDEN_TET.replace("4 0 1 2 3", "4 0 1 2 2"))
+    with pytest.raises(MeshError, match="degenerate"):
+        h.read_field(p)
+
+
 def test_regular_file_is_parsed_without_token_strings(tmp_path, monkeypatch,
                                                       ball_coarse):
     fast_values = h_io._fast_values
@@ -708,8 +731,8 @@ def test_regular_file_is_parsed_without_token_strings(tmp_path, monkeypatch,
 
     monkeypatch.setattr(h_io, "_fast_values", fast_only)
     vtk, msh = _ball_files(tmp_path, ball_coarse)
-    mesh, X = h_io._read_mesh_and_field(vtk)
-    assert (mesh.tets == ball_coarse.tets).all()
+    X = h.read_field(vtk)
+    assert (X.mesh.tets == ball_coarse.tets).all()
     assert (X.vectors == h.sample_analytic(ball_coarse, "X1").vectors).all()
     assert (h.read_mesh(msh).tets == ball_coarse.tets).all()
 
@@ -778,4 +801,7 @@ def test_write_outputs_refuses_unknown_format(ball_tiny, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="'xml'.*vtk, json"):
         h.write_outputs(r, out, formats=("json", "xml"))
+    assert not out.exists()
+    with pytest.raises(ValueError, match="no output format.*vtk, json"):
+        h.write_outputs(r, out, formats=())
     assert not out.exists()
