@@ -30,7 +30,7 @@ for domain, hh, params in [
           f"neumann {dn} (expect {betti.h2}), "
           f"dirichlet {dd} (expect {betti.h2_rel})")
 
-# The central space on a small ball: n_bf - 1 regardless of topology.
+# The central space has dimension n_bf - b2 - b0: on a small ball, n_bf - 1.
 mesh = h.generate_voxel_domain("ball", 0.5)
 dim = h.HodgeDecomposer(mesh).harmonic_dimension("central")
 print(f"\ncentral dimension on a {mesh.n_t}-tet ball: {dim} "

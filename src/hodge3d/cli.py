@@ -27,14 +27,10 @@ from .errors import ConvergenceError, Hodge3dError
 from .fields import ANALYTIC_FIELDS, Pcvf, add_noise, sample_analytic
 from .hodge import (_DIMENSION_SOURCES, _SPARE_PROBES, SCHEME_COMPONENTS,
                     SCHEMES, HodgeDecomposer, _expected_dimension)
-from .io import make_report, read_field, read_mesh, write_outputs
+from .io import FORMATS, make_report, read_field, read_mesh, write_outputs
 from .mesh import DOMAIN_TOPOLOGY, betti_numbers, generate_voxel_domain
 
 __all__ = ["main"]
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _build_mesh(ns, h):
@@ -106,18 +102,19 @@ def _cmd_decompose(ns) -> int:
     return 0
 
 
-# The analytic fields of each domain, in case order; one engine per domain.
-_VALIDATE_CASES = {"ball": ("X0", "X1", "X2", "X012"),
-                   "ball_with_cavity": ("X3",), "solid_torus": ("X4",)}
+# Each domain's voxel size (its flag's dest) and default, and its analytic
+# fields in case order; one engine per domain.
+_VALIDATE_CASES = {"ball": ("h_ball", 0.1, ("X0", "X1", "X2", "X012")),
+                   "ball_with_cavity": ("h_cavity", 0.15, ("X3",)),
+                   "solid_torus": ("h_torus", 0.15, ("X4",))}
 
 
 def _cmd_validate(ns) -> int:
-    h_of = {"ball": ns.h_ball, "ball_with_cavity": ns.h_cavity,
-            "solid_torus": ns.h_torus}
     cases_out = []
     all_passed = True
-    for dom, fields in _VALIDATE_CASES.items():
-        engine = HodgeDecomposer(generate_voxel_domain(dom, h_of[dom]),
+    for dom, (h_name, _, fields) in _VALIDATE_CASES.items():
+        h = getattr(ns, h_name)
+        engine = HodgeDecomposer(generate_voxel_domain(dom, h),
                                  tol=ns.tol, max_iter=ns.max_iter)
         for fname in fields:
             result = engine.decompose(sample_analytic(engine.mesh, fname),
@@ -125,7 +122,7 @@ def _cmd_validate(ns) -> int:
             verification = engine.verify(result)
             all_passed &= verification.passed
             cases_out.append({
-                "field": fname, "domain": dom, "h": h_of[dom],
+                "field": fname, "domain": dom, "h": h,
                 "report": make_report(result),
                 "checks": [{"name": c.name, "passed": c.passed,
                             "value": c.value, "bound": c.bound}
@@ -165,8 +162,8 @@ def _cmd_dims(ns) -> int:
     expected = {which: _expected_dimension(mesh, which) for which in ns.which}
     need = max(expected.values(), default=0) + _SPARE_PROBES
     if ns.probes is not None and ns.probes < need:
-        raise _UsageError(f"--probes {ns.probes} is below the required "
-                          f"minimum {need}")
+        raise Hodge3dError(f"--probes {ns.probes} is below the required "
+                           f"minimum {need}")
     ok = True
     print(f"betti numbers: {tuple(betti_numbers(mesh))}")
     engine = HodgeDecomposer(mesh, tol=ns.tol, max_iter=ns.max_iter)
@@ -225,7 +222,7 @@ def _cmd_sweep(ns) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise Hodge3dError(message)
 
 
 def _str_list(text: str) -> tuple:
@@ -241,6 +238,12 @@ def _float_list(text: str) -> tuple:
             f"expected comma-separated numbers, got '{text}'") from None
 
 
+# generate_voxel_domain's keyword parameters, each a --flag, and their types
+_DOMAIN_PARAMS = {"radius": float, "cavity_radius": float,
+                  "ring_radius": float, "tube_radius": float, "height": float,
+                  "extents": _float_list}
+
+
 def _add_mesh_args(p, h_list=False):
     p.add_argument("--mesh", help="path to a .vtk or .msh tetrahedral mesh")
     p.add_argument("--domain", choices=sorted(DOMAIN_TOPOLOGY),
@@ -252,22 +255,14 @@ def _add_mesh_args(p, h_list=False):
                        help="voxel size(s); a comma list sweeps resolution")
     else:
         p.add_argument("--h", type=float, help="voxel size for --domain")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--cavity-radius", type=float)
-    p.add_argument("--ring-radius", type=float)
-    p.add_argument("--tube-radius", type=float)
-    p.add_argument("--height", type=float)
-    p.add_argument("--extents", type=_float_list)
+    for name, kind in _DOMAIN_PARAMS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def _domain_params(ns) -> dict:
-    params = {}
-    for key in ("radius", "cavity_radius", "ring_radius", "tube_radius",
-                "height", "extents"):
-        v = getattr(ns, key, None)
-        if v is not None:
-            params[key] = v
-    return params
+    """The domain parameters given on the command line."""
+    return {name: getattr(ns, name) for name in _DOMAIN_PARAMS
+            if getattr(ns, name) is not None}
 
 
 def _add_field_args(p):
@@ -303,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_args(p)
     _add_scheme_arg(p, default="full")
     p.add_argument("--out", help="output directory for VTK + report")
-    p.add_argument("--formats", type=_str_list, default="vtk,json",
-                   help="comma list from vtk,json (default both)")
+    p.add_argument("--formats", type=_str_list, default=",".join(FORMATS),
+                   help=f"comma list from {','.join(FORMATS)} (default both)")
     _add_solver_args(p)
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("validate", help="run the built-in analytic-field suite")
-    p.add_argument("--h-ball", type=float, default=0.1)
-    p.add_argument("--h-cavity", type=float, default=0.15)
-    p.add_argument("--h-torus", type=float, default=0.15)
+    for h_name, default, _ in _VALIDATE_CASES.values():
+        p.add_argument("--" + h_name.replace("_", "-"), type=float,
+                       default=default)
     p.add_argument("--out", help="directory for validate_report.json")
     _add_solver_args(p)
     p.set_defaults(handler=_cmd_validate)
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-levels", type=_float_list, default=None)
     p.add_argument("--out", help="output directory (per-level dirs + CSV)")
     _add_solver_args(p)
-    p.set_defaults(handler=_cmd_sweep, formats=("vtk", "json"))
+    p.set_defaults(handler=_cmd_sweep, formats=FORMATS)
 
     return parser
 
@@ -340,62 +335,62 @@ def build_parser() -> argparse.ArgumentParser:
 def _require(flag, value, low, strict=False):
     """Reject a value below `low` (or equal to it, if strict), NaN and inf."""
     if not (value > low if strict else value >= low):
-        raise _UsageError(f"{flag} must be {'>' if strict else '>='} {low}")
+        raise Hodge3dError(f"{flag} must be {'>' if strict else '>='} {low}")
     if value == math.inf:
-        raise _UsageError(f"{flag} must be finite")
+        raise Hodge3dError(f"{flag} must be finite")
 
 
 def _check(ns):
-    """Apply every flag rule that needs no mesh; raises _UsageError."""
+    """Apply every flag rule that needs no mesh; raises Hodge3dError."""
     if ns.subcommand != "validate":
         if (ns.mesh is None) == (ns.domain is None):
-            raise _UsageError("exactly one of --mesh and --domain is required")
+            raise Hodge3dError("exactly one of --mesh and --domain is required")
         if ns.domain is not None and ns.h in (None, ()):
-            raise _UsageError("--domain requires --h")
+            raise Hodge3dError("--domain requires --h")
         _require("--seed", ns.seed, 0)
     if ns.subcommand in ("decompose", "sweep"):
         if ns.field is None:
-            raise _UsageError("--field is required")
+            raise Hodge3dError("--field is required")
         if ns.field not in ANALYTIC_FIELDS and not ns.field.startswith("file:"):
-            raise _UsageError(f"unknown field '{ns.field}' (analytic fields: "
-                              f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
+            raise Hodge3dError(f"unknown field '{ns.field}' (analytic fields: "
+                               f"{sorted(ANALYTIC_FIELDS)}, or file:<path>)")
         _require("--rho", ns.rho, 0)
     _require("--tol", ns.tol, 0, strict=True)
     if ns.max_iter is not None:
         _require("--max-iter", ns.max_iter, 1)
     if getattr(ns, "formats", None) == ():
-        raise _UsageError("--formats needs at least one format")
-    unknown = sorted(set(getattr(ns, "formats", ())) - {"vtk", "json"})
+        raise Hodge3dError("--formats needs at least one format")
+    unknown = sorted(set(getattr(ns, "formats", ())) - set(FORMATS))
     if unknown:
-        raise _UsageError(f"unknown output format '{unknown[0]}' "
-                          "(choose from vtk, json)")
+        raise Hodge3dError(f"unknown output format '{unknown[0]}' "
+                           f"(choose from {', '.join(FORMATS)})")
     if getattr(ns, "which", None) == ():
-        raise _UsageError("--which needs at least one subspace")
+        raise Hodge3dError("--which needs at least one subspace")
     for which in getattr(ns, "which", ()):
         if which not in _DIMENSION_SOURCES:
-            raise _UsageError(f"unknown subspace '{which}' (choose from "
-                              f"{', '.join(sorted(_DIMENSION_SOURCES))})")
+            raise Hodge3dError(f"unknown subspace '{which}' (choose from "
+                               f"{', '.join(sorted(_DIMENSION_SOURCES))})")
     if ns.subcommand == "sweep":
         if ns.rho_levels == ():
-            raise _UsageError("--rho-levels needs at least one level")
+            raise Hodge3dError("--rho-levels needs at least one level")
         for rho in ns.rho_levels or ():
             _require("--rho-levels", rho, 0)
         if ns.rho_levels:
             if ns.h and len(ns.h) > 1:
-                raise _UsageError("a rho sweep needs a single --h")
+                raise Hodge3dError("a rho sweep needs a single --h")
         elif not ns.h:
-            raise _UsageError("sweep needs --h or --rho with at least one level")
+            raise Hodge3dError("sweep needs --h or --rho with at least one level")
         elif ns.domain is None:
-            raise _UsageError("a resolution sweep requires --domain")
+            raise Hodge3dError("a resolution sweep requires --domain")
         # every level, before the first one runs and writes its outputs
         if not all(h > 0 for h in ns.h or ()):
-            raise _UsageError("voxel size h must be positive")
+            raise Hodge3dError("voxel size h must be positive")
         # two levels with one label would write to one directory
         first = {}
         for _, value, label in _sweep_levels(ns):
             if label in first:
-                raise _UsageError(f"sweep levels {first[label]!r} and "
-                                  f"{value!r} share the label '{label}'")
+                raise Hodge3dError(f"sweep levels {first[label]!r} and "
+                                   f"{value!r} share the label '{label}'")
             first[label] = value
 
 
@@ -411,7 +406,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, Hodge3dError, OSError) as exc:
+    except (Hodge3dError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

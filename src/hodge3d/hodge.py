@@ -639,7 +639,7 @@ def _expected_dimension(mesh: TetMesh, which: str) -> int:
     """The dimension the topology of `mesh` predicts for a subspace."""
     b = betti_numbers(mesh)
     return {"neumann": b.h2, "dirichlet": b.h2_rel,
-            "central": mesh.counts.n_bf - b.h2 - 1}[which]
+            "central": mesh.counts.n_bf - b.h2 - b.b0}[which]
 
 
 def estimate_harmonic_dimension(mesh: TetMesh, which: str,

@@ -21,9 +21,11 @@ from .hodge import DecompositionResult
 from .mesh import TetMesh, betti_numbers, build_complex
 
 __all__ = ["read_mesh", "read_field", "write_vtk", "write_outputs",
-           "make_report", "SCHEMA_VERSION"]
+           "make_report", "SCHEMA_VERSION", "FORMATS"]
 
 SCHEMA_VERSION = 1
+# the output formats of write_outputs, in the order it writes them
+FORMATS = ("vtk", "json")
 
 _VTK_TET = 10
 
@@ -39,9 +41,6 @@ class _Tokens:
         self.text, self.path, self.skipped = text, path, skipped
         self.pos = 0  # character offset just past the last token read
         self.last = 0  # offset of the last token that next() read
-
-    def done(self) -> bool:
-        return _TOKEN.search(self.text, self.pos) is None
 
     def at(self, start: int, k: int) -> int:
         """Offset of the k-th token after offset `start` (0: the first)."""
@@ -188,10 +187,10 @@ def _parse_vtk(path: str):
     cell_types = None
     cell_vectors = {}
     point_vectors = {}
-    association = None  # "cell" | "point"
+    vectors = None  # cell_vectors or point_vectors, as the last *_DATA says
     assoc_n = 0
 
-    while not ts.done():
+    while ts.peek() is not None:
         kw = ts.next().upper()
         if kw == "DATASET":
             kind = ts.next().upper()
@@ -245,19 +244,15 @@ def _parse_vtk(path: str):
             if len(bad):
                 raise ts.error(f"tetrahedral cell with {cell_sizes[bad[0]]} vertices",
                                ts.at(first, starts[bad[0]]))
-        elif kw == "CELL_DATA":
-            association = "cell"
-            assoc_n = ts.next_count()
-        elif kw == "POINT_DATA":
-            association = "point"
+        elif kw in ("CELL_DATA", "POINT_DATA"):
+            vectors = cell_vectors if kw == "CELL_DATA" else point_vectors
             assoc_n = ts.next_count()
         elif kw == "VECTORS":
+            if vectors is None:
+                raise ts.error("VECTORS before CELL_DATA/POINT_DATA", ts.last)
             name = ts.next()
             ts.next()  # dtype
-            if association is None:
-                raise ts.error("VECTORS before CELL_DATA/POINT_DATA")
-            arr = ts.take(3 * assoc_n, np.float64).reshape(assoc_n, 3)
-            (cell_vectors if association == "cell" else point_vectors)[name] = arr
+            vectors[name] = ts.take(3 * assoc_n, np.float64).reshape(assoc_n, 3)
         elif kw == "SCALARS":
             ts.next()  # name
             ts.next()  # dtype
@@ -300,7 +295,7 @@ def _parse_msh(path: str):
     tets = []
     saw_format = False
 
-    while not ts.done():
+    while ts.peek() is not None:
         section = ts.next()
         if not section.startswith("$"):
             raise ts.error(f"expected section marker, got '{section}'")
@@ -567,19 +562,20 @@ def make_report(result: DecompositionResult, extra: dict | None = None) -> dict:
 
 
 def write_outputs(result: DecompositionResult, out_dir,
-                  formats=("vtk", "json"), extra: dict | None = None) -> list:
+                  formats=FORMATS, extra: dict | None = None) -> list:
     """Write one VTK file per component plus the JSON report.
 
     Returns the written paths; identical inputs give byte-identical files.
     An unknown format, or none, raises ValueError before anything is
     created.
     """
+    choices = ", ".join(FORMATS)
     if not formats:
-        raise ValueError("no output format given (choose from vtk, json)")
+        raise ValueError(f"no output format given (choose from {choices})")
     for fmt in formats:
-        if fmt not in ("vtk", "json"):
+        if fmt not in FORMATS:
             raise ValueError(f"unknown output format '{fmt}' "
-                             "(choose from vtk, json)")
+                             f"(choose from {choices})")
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "vtk" in formats:

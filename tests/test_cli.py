@@ -11,7 +11,7 @@ from hodge3d import cli
 from hodge3d import io as h_io
 from hodge3d.cli import main
 
-from oracles import renumbered, write_gmsh41
+from oracles import disjoint_union, renumbered, write_gmsh41
 
 
 def test_decompose_generated_domain(tmp_path, capsys):
@@ -178,6 +178,15 @@ def test_dims_central_tiny_ball(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "central: 143 (expected 143)" in out
+
+
+def test_dims_central_on_two_solids(tmp_path, ref_tet, capsys):
+    # one face-Gram constant per solid: 8 boundary faces - 2 solids
+    p = tmp_path / "two.vtk"
+    h.write_vtk(p, disjoint_union(ref_tet, ref_tet))
+    assert main(["dims", "--mesh", str(p), "--which", "central"]) == 0
+    assert capsys.readouterr().out == ("betti numbers: (2, 0, 0)\n"
+                                       "central: 6 (expected 6)\n")
 
 
 def test_dims_unknown_subspace(capsys):

@@ -12,7 +12,8 @@ from hodge3d import hodge as hodge_module
 from hodge3d.cli import main
 from hodge3d.errors import FieldError
 
-from oracles import disjoint_union, renumbered
+from oracles import (delaunay_ball, delaunay_torus, disjoint_union,
+                     renumbered)
 
 
 def _unit(X):
@@ -471,6 +472,34 @@ def test_estimate_dimensions_coarse(ball_tiny, torus_coarse, cavity_coarse):
     assert h.estimate_harmonic_dimension(torus_coarse, "neumann") == 0
     assert h.estimate_harmonic_dimension(cavity_coarse, "neumann") == 1
     assert h.estimate_harmonic_dimension(cavity_coarse, "dirichlet") == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_central_dimension_counts_one_constant_per_solid(ref_tet, n):
+    # the face Gram's kernel holds one constant per connected solid, so n
+    # disjoint tets (4n boundary faces, no cavity) have a central space of
+    # dimension 4n - n
+    mesh = disjoint_union(*[ref_tet] * n)
+    assert (mesh.counts.n_bf, h.betti_numbers(mesh).b0) == (4 * n, n)
+    assert h.estimate_harmonic_dimension(mesh, "central") == 3 * n
+    assert hodge_module._expected_dimension(mesh, "central") == 3 * n
+
+
+@pytest.mark.parametrize("domain", ["ball", "torus"])
+def test_unstructured_meshes_keep_the_guarantees(domain):
+    # Delaunay meshes instead of Kuhn lattices: FULL passes verify and the
+    # harmonic dimensions equal the Betti numbers. The face solves take
+    # several times the iterations they take on a lattice (printed).
+    mesh = delaunay_ball() if domain == "ball" else delaunay_torus()
+    b = h.betti_numbers(mesh)
+    assert tuple(b) == ((1, 0, 0) if domain == "ball" else (1, 1, 0))
+    engine = h.HodgeDecomposer(mesh)
+    r = engine.decompose(h.random_field(mesh, seed=1, normalize=True), "FULL")
+    assert engine.verify(r).passed
+    assert engine.harmonic_dimension("neumann") == b.h2
+    assert engine.harmonic_dimension("dirichlet") == b.h2_rel
+    print(f"{domain}, {mesh.n_t} Delaunay tets: " + ", ".join(
+        f"{stage} {rep.iterations}" for stage, rep in r.solver_reports))
 
 
 def test_dimension_gram_is_one_product(torus_coarse, monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,8 +77,12 @@ FIFTH_POINT = "0.0 0.0 1.0\n1.0 1.0 1.0\n"
     ((("POINTS 4", "POINTS 5"), ("0.0 0.0 1.0\n", FIFTH_POINT),
       ("CELLS 1 5\n4 0 1 2 3", "CELLS 2 10\n4 0 1 2 3\n4 1 2 3 4")),
      14, "CELL_TYPES declares 1 cells, CELLS 2"),
+    ((("CELLS 1 5\n4 0 1 2 3\nCELL_TYPES 1\n10",
+       "CELL_TYPES 1\n10\nCELLS 1 5\n4 0 1 2 3"),),
+     10, "CELL_TYPES before CELLS"),
 ], ids=["ragged_row", "index_past_points", "negative_index",
-        "index_in_second_row", "second_cell_type", "cell_types_count"])
+        "index_in_second_row", "second_cell_type", "cell_types_count",
+        "cell_types_first"])
 def test_read_rejects_malformed_cells(tmp_path, replacements, line, message):
     text = GOLDEN_TET
     for old, new in replacements:
@@ -191,8 +196,18 @@ def test_integer_overflow_is_a_malformed_value(tmp_path, ext, text, old, new):
      12, "expected 1 more values, file ended"),
     (".msh", MSH_TET.replace("0.0 1.0 0.0\n", "0.0 1.x 0.0\n"),
      13, "malformed numeric value"),
+    (".vtk", GOLDEN_TET[:GOLDEN_TET.index("DATASET")], 3,
+     "truncated VTK header"),
+    (".vtk", GOLDEN_TET + "VECTORS v double\n0.0 0.0 1.0\n", 14,
+     "VECTORS before CELL_DATA/POINT_DATA"),
+    (".msh", MSH_TET[MSH_TET.index("$Nodes"):], 1,
+     r"missing \$MeshFormat section"),
+    (".msh", MSH_TET[:MSH_TET.index("$Elements")], 1,
+     "file contains no nodes or no tetrahedra"),
 ], ids=["vtk_cell_size_overflow", "vtk_point_coordinate", "vtk_cells_count",
-        "vtk_cells_size", "vtk_cut_after_cell_types", "msh_node_coordinate"])
+        "vtk_cells_size", "vtk_cut_after_cell_types", "msh_node_coordinate",
+        "vtk_truncated_header", "vtk_vectors_without_data", "msh_no_format",
+        "msh_no_tets"])
 def test_token_errors_name_the_line_of_the_bad_token(tmp_path, ext, text,
                                                      line, message):
     p = tmp_path / f"bad{ext}"
@@ -410,6 +425,11 @@ def test_write_golden_bytes(tmp_path):
     p = tmp_path / "golden.vtk"
     h.write_vtk(p, mesh, {"v": vecs}, title="golden")
     assert p.read_bytes() == GOLDEN_WRITE.encode()
+    # an array of the wrong shape is refused before the file is opened
+    with pytest.raises(FieldError) as exc:
+        h.write_vtk(p, mesh, {"v": vecs[:1]})
+    assert str(exc.value) == "cell vector array 'v' must have shape (2, 3)"
+    assert p.read_bytes() == GOLDEN_WRITE.encode()
 
 
 @pytest.mark.parametrize("title", ["a\rb", "a\r\nb", "a\vb", "a\x85b",
@@ -472,6 +492,28 @@ def test_gmsh_rejects_bad_version_and_hex(tmp_path):
         h.read_mesh(p2)
 
 
+# the sections Gmsh writes that the reader skips; a physical name is
+# quoted and may hold a space
+MSH_SKIPPED = """\
+$PhysicalNames
+1
+3 7 "solid part"
+$EndPhysicalNames
+$Entities
+0 0 0 1
+1 0.0 0.0 0.0 1.0 1.0 1.0 1 7 0
+$EndEntities
+"""
+
+
+def test_gmsh_skips_unknown_sections(tmp_path):
+    plain, named = tmp_path / "plain.msh", tmp_path / "named.msh"
+    plain.write_text(MSH_TET)
+    named.write_text(MSH_TET.replace("$Nodes", MSH_SKIPPED + "$Nodes"))
+    a, b = h.read_mesh(plain), h.read_mesh(named)
+    assert (a.vertices == b.vertices).all() and (a.tets == b.tets).all()
+
+
 def test_gmsh_skips_boundary_blocks(ball_tiny, tmp_path):
     # prepend a surface block of triangles; only the tets must load
     msh = tmp_path / "mixed.msh"
@@ -516,6 +558,13 @@ def test_read_field_rejects_nan_and_length_mismatch(tmp_path, ref_tet, two_tet):
     p2.write_text(GOLDEN_TET + "CELL_DATA 1\nVECTORS v double\n1.0 0.0 0.0\n")
     with pytest.raises(FieldError, match="entries"):
         h.read_field(p2, two_tet)
+    p3 = tmp_path / "short_points.vtk"
+    p3.write_text(GOLDEN_TET + "POINT_DATA 3\nVECTORS v double\n"
+                  + "1.0 0.0 0.0\n" * 3)
+    with pytest.raises(FieldError) as exc:
+        h.read_field(p3, ref_tet, resample="barycentric")
+    assert str(exc.value) == \
+        f"{p3}: point vector field 'v' has 3 entries, mesh has 4 vertices"
 
 
 def test_read_field_requires_vectors(tmp_path, ref_tet):
@@ -784,7 +833,7 @@ def test_write_outputs_deterministic(ball_tiny, tmp_path):
     assert names == {"fluxless_knot.vtk", "gradient.vtk",
                      "harmonic_dirichlet.vtk", "report.json"}
     for f1, f2 in zip(files1, files2):
-        assert open(f1, "rb").read() == open(f2, "rb").read()
+        assert Path(f1).read_bytes() == Path(f2).read_bytes()
     rep = json.loads((d1 / "report.json").read_text())
     assert rep["scheme"] == "FD"
     # each component file is what write_vtk writes for it alone
